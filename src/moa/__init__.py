@@ -42,17 +42,16 @@ from .exprs import (
     eval_element,
     evaluate_plan,
     infer_shape,
+    leaves,
     materialize,
     psi_reduce,
 )
 from .kron import kron_desugar, kron_entry, multi_kron
 from .lowering import (
     Affine,
-    FlatRead,
     FlatWrite,
     LoopPlan,
     LoopSpec,
-    OpExpr,
     execute_plan,
     flatten_operands,
     lower,
@@ -70,6 +69,10 @@ from .shapes import (
     unravel_rowmajor,
 )
 from .verify import builtin_env, builtin_grid, materialize_stepwise, run_suites
+
+# An ONF loop body is the DNF read/op IR with Affine offsets.
+FlatRead = LeafRead
+OpExpr = Combine
 
 __version__ = "0.1.0"
 
@@ -117,6 +120,7 @@ __all__ = [
     "infer_shape",
     "kron_desugar",
     "kron_entry",
+    "leaves",
     "lower",
     "materialize",
     "materialize_stepwise",

@@ -137,11 +137,11 @@ def cmd_dnf(args: argparse.Namespace) -> int:
 
 
 def cmd_onf(args: argparse.Namespace) -> int:
+    if args.parallel and not args.run:
+        raise _Usage("--parallel requires --run")
     env = _parse_bindings(args.array)
     expr = parse(args.expr, {name: arr.shape for name, arr in env.items()})
     plan = lower(expr, procs=args.procs)
-    if args.parallel and not args.run:
-        raise _Usage("--parallel requires --run")
     if args.run:
         result = execute_plan(plan, flatten_operands(env), parallel=args.parallel)
         print(render_json(_array_to_obj(result)))

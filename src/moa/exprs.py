@@ -12,19 +12,27 @@ Kron(left, right)          matrix Kronecker product; structurally sugar for
                            Reshape over a (0, 2, 1, 3) transpose of a
                            multiplicative Outer
 
+Every node computes its shape once, at construction.
+
 Evaluation works by rewriting indices downward instead of materializing
 intermediates: psi_reduce turns (index, expression) into a ScalarReadPlan, a
-tree whose leaves are flat reads of the input buffers and whose interior
-nodes are scalar operations.  Evaluating that plan touches exactly one
-element per Leaf read, no matter how deep the expression is.
+tree whose leaves are LeafRead flat reads of the input buffers and whose
+interior nodes are Combine scalar operations.  Evaluating that plan touches
+exactly one element per Leaf read, no matter how deep the expression is.
+
+The same read/op tree is the body of an ONF loop plan (see lowering): there a
+LeafRead's offset is an Affine function of the loop variables rather than an
+int, so the DNF and the ONF are one IR at two stages of binding.  leaves()
+walks the leaf occurrences of either kind of tree from left to right.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .arrays import DenseArray
 from .errors import EvaluationError, ShapeError
@@ -41,6 +49,9 @@ from .shapes import (
     select,
     unravel_rowmajor,
 )
+
+if TYPE_CHECKING:
+    from .lowering import Affine
 
 OPS = ("mul", "add", "sub", "div")
 
@@ -80,29 +91,24 @@ class Outer(ExprNode):
     op: str
     left: ExprNode
     right: ExprNode
+    shape: Shape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in OPS:
             raise ShapeError(f"outer op must be one of {OPS}, got {self.op!r}")
-
-    @property
-    def shape(self) -> Shape:
-        return concat(self.left.shape, self.right.shape)
+        object.__setattr__(self, "shape", concat(self.left.shape, self.right.shape))
 
 
 @dataclass(frozen=True)
 class TransposeG(ExprNode):
     perm: tuple[int, ...]
     child: ExprNode
+    shape: Shape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "perm", as_permutation(self.perm, len(self.child.shape))
-        )
-
-    @property
-    def shape(self) -> Shape:
-        return select(self.child.shape, self.perm)
+        perm = as_permutation(self.perm, len(self.child.shape))
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "shape", select(self.child.shape, perm))
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,7 @@ class Reshape(ExprNode):
 class Kron(ExprNode):
     left: ExprNode
     right: ExprNode
+    shape: Shape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.left.shape) != 2 or len(self.right.shape) != 2:
@@ -131,11 +138,8 @@ class Kron(ExprNode):
                 "kron operands must be matrices, got shapes "
                 f"{self.left.shape} and {self.right.shape}"
             )
-
-    @property
-    def shape(self) -> Shape:
         (m, n), (p, q) = self.left.shape, self.right.shape
-        return (m * p, n * q)
+        object.__setattr__(self, "shape", (m * p, n * q))
 
     @cached_property
     def desugared(self) -> Reshape:
@@ -160,10 +164,14 @@ def infer_shape(expr: ExprNode) -> Shape:
 
 @dataclass(frozen=True)
 class LeafRead:
-    """Read one element of a named buffer at a flat row-major offset."""
+    """Read one element of a named buffer at a flat row-major offset.
+
+    In a DNF read plan the offset is an int; in an ONF loop body it is an
+    Affine over the loop variables and the name is a buffer such as avec.
+    """
 
     name: str
-    offset: int
+    offset: int | Affine
 
 
 @dataclass(frozen=True)
@@ -215,22 +223,31 @@ def psi_reduce(index: MultiIndex, expr: ExprNode) -> ScalarReadPlan:
     raise ShapeError(f"unknown expression node: {type(expr).__name__}")
 
 
+def leaves(tree: ExprNode | ScalarReadPlan) -> Iterator[Leaf | LeafRead]:
+    """Leaf occurrences from left to right: the Leaf nodes of an expression
+    or the LeafRead nodes of a read plan.  Iterative, so depth costs no stack."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Outer, Kron, Combine)):
+            stack += (node.right, node.left)
+        elif isinstance(node, (TransposeG, Reshape)):
+            stack.append(node.child)
+        elif isinstance(node, (Leaf, LeafRead)):
+            yield node
+
+
 def _check_env(expr: ExprNode, env: dict[str, DenseArray]) -> None:
     """Every leaf must be bound, and bound to its declared shape."""
-    if isinstance(expr, Leaf):
-        if expr.name not in env:
-            raise EvaluationError(f"unbound leaf: {expr.name!r}")
-        bound = env[expr.name]
-        if bound.shape != expr.shape:
+    for leaf in leaves(expr):
+        bound = env.get(leaf.name)
+        if bound is None:
+            raise EvaluationError(f"unbound leaf: {leaf.name!r}")
+        if bound.shape != leaf.shape:
             raise EvaluationError(
-                f"leaf {expr.name!r} declared shape {expr.shape}, "
+                f"leaf {leaf.name!r} declared shape {leaf.shape}, "
                 f"bound array has shape {bound.shape}"
             )
-    elif isinstance(expr, (Outer, Kron)):
-        _check_env(expr.left, env)
-        _check_env(expr.right, env)
-    elif isinstance(expr, (TransposeG, Reshape)):
-        _check_env(expr.child, env)
 
 
 def evaluate_plan(plan: ScalarReadPlan, env: dict[str, DenseArray]) -> float:

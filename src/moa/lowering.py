@@ -3,8 +3,11 @@
 A loop plan is the operational form of an expression: a nest of counted
 loops (start/stop/stride/count), a body that reads input buffers at affine
 offsets in the loop variables, and a single affine row-major write into the
-output buffer.  Lowering never materializes intermediates: structural nodes
-(outer, transpose, reshape, kron) are compiled away into the offset algebra.
+output buffer.  The body is the DNF's read/op IR (exprs.LeafRead and
+exprs.Combine, also exported as FlatRead and OpExpr) with each read's offset
+an Affine instead of an int.  Lowering never materializes intermediates:
+structural nodes (outer, transpose, reshape, kron) are compiled away into the
+offset algebra.
 
 The algorithm tracks one "digit" per surviving unit of iteration.  A leaf
 axis starts as one digit carrying that axis's row-major stride into the
@@ -25,15 +28,29 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Union
+from typing import Any
 
 import numpy as np
 
 from .arrays import DenseArray, counters
 from .errors import LoweringError, PartitionError, PlanError, ShapeError
-from .exprs import ExprNode, Kron, Leaf, Outer, Reshape, TransposeG, apply_op
+from .exprs import (
+    OPS,
+    Combine,
+    ExprNode,
+    Kron,
+    Leaf,
+    LeafRead,
+    Outer,
+    Reshape,
+    ScalarReadPlan,
+    TransposeG,
+    apply_op,
+    leaves,
+)
 from .shapes import Shape, as_shape, pi
 
 _LOOP_NAMES = "pqrstuvw"
@@ -57,22 +74,6 @@ class Affine:
         for var, coeff in self.terms:
             total += coeff * bindings[var]
         return total
-
-
-@dataclass(frozen=True)
-class FlatRead:
-    buffer: str
-    offset: Affine
-
-
-@dataclass(frozen=True)
-class OpExpr:
-    op: str
-    left: "BodyExpr"
-    right: "BodyExpr"
-
-
-BodyExpr = Union[FlatRead, OpExpr]
 
 
 @dataclass(frozen=True)
@@ -106,21 +107,13 @@ class LoopSpec:
         return range(self.start, self.stop, self.stride)
 
 
-def _body_reads(body: BodyExpr):
-    if isinstance(body, FlatRead):
-        yield body
-    else:
-        yield from _body_reads(body.left)
-        yield from _body_reads(body.right)
-
-
 @dataclass(frozen=True)
 class LoopPlan:
     procs: int
     out_shape: Shape
     loops: tuple[LoopSpec, ...]
     write: FlatWrite
-    body: BodyExpr
+    body: ScalarReadPlan
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "out_shape", as_shape(self.out_shape))
@@ -147,7 +140,7 @@ class LoopPlan:
         if self.write.buffer != "out":
             raise PlanError(f'write buffer must be "out", got {self.write.buffer!r}')
         known = set(names)
-        for affine in [self.write.offset] + [r.offset for r in _body_reads(self.body)]:
+        for affine in [self.write.offset] + [r.offset for r in leaves(self.body)]:
             for var, _ in affine.terms:
                 if var not in known:
                     raise PlanError(f"offset references unknown loop variable {var!r}")
@@ -169,7 +162,7 @@ class _Build:
     """Result of walking one expression node."""
 
     axes: list[list[_Digit]]  # one digit group per output axis, 1-extents dropped
-    body: Any  # ("read", occ) or ("op", op, left, right)
+    body: ScalarReadPlan  # each read's offset is its leaf occurrence for now
 
 
 def _split_digit(digit: _Digit, head: int) -> tuple[_Digit, _Digit]:
@@ -230,9 +223,9 @@ def _regroup(stream: list[_Digit], extents: Shape) -> list[list[_Digit]]:
     return groups
 
 
-def _build(expr: ExprNode, counter: itertools.count) -> tuple[_Build, dict[int, str]]:
-    """Walk the expression; return digit groups, a body template keyed by
-    leaf occurrence, and the occurrence-to-leaf-name map."""
+def _build(expr: ExprNode, counter: itertools.count) -> _Build:
+    """Walk the expression; return digit groups and a body whose reads carry
+    their leaf occurrence as the offset until lower knows the digits."""
     if isinstance(expr, Leaf):
         occ = next(counter)
         stride = 1
@@ -240,24 +233,21 @@ def _build(expr: ExprNode, counter: itertools.count) -> tuple[_Build, dict[int, 
         for extent in reversed(expr.shape):
             rev.append([_Digit(extent, {occ: stride})] if extent > 1 else [])
             stride *= extent
-        return _Build(list(reversed(rev)), ("read", occ)), {occ: expr.name}
+        return _Build(list(reversed(rev)), LeafRead(buffer_name(expr.name), occ))
 
     if isinstance(expr, Outer):
-        left, lnames = _build(expr.left, counter)
-        right, rnames = _build(expr.right, counter)
-        return _Build(left.axes + right.axes, ("op", expr.op, left.body, right.body)), {
-            **lnames,
-            **rnames,
-        }
+        left = _build(expr.left, counter)
+        right = _build(expr.right, counter)
+        return _Build(left.axes + right.axes, Combine(expr.op, left.body, right.body))
 
     if isinstance(expr, TransposeG):
-        child, names = _build(expr.child, counter)
-        return _Build([child.axes[k] for k in expr.perm], child.body), names
+        child = _build(expr.child, counter)
+        return _Build([child.axes[k] for k in expr.perm], child.body)
 
     if isinstance(expr, Reshape):
-        child, names = _build(expr.child, counter)
+        child = _build(expr.child, counter)
         stream = [digit for group in child.axes for digit in group]
-        return _Build(_regroup(stream, expr.shape), child.body), names
+        return _Build(_regroup(stream, expr.shape), child.body)
 
     if isinstance(expr, Kron):
         return _build(expr.desugared, counter)
@@ -296,21 +286,6 @@ def buffer_name(leaf_name: str) -> str:
     return leaf_name.lower() + "vec"
 
 
-def _leaf_shapes(expr: ExprNode, out: dict[str, Shape]) -> None:
-    if isinstance(expr, Leaf):
-        seen = out.get(expr.name)
-        if seen is not None and seen != expr.shape:
-            raise ShapeError(
-                f"leaf {expr.name!r} used with conflicting shapes {seen} and {expr.shape}"
-            )
-        out[expr.name] = expr.shape
-    elif isinstance(expr, (Outer, Kron)):
-        _leaf_shapes(expr.left, out)
-        _leaf_shapes(expr.right, out)
-    elif isinstance(expr, (TransposeG, Reshape)):
-        _leaf_shapes(expr.child, out)
-
-
 def lower(expr: ExprNode, procs: int = 1) -> LoopPlan:
     """Compile an expression to a loop plan for ``procs`` virtual processors.
 
@@ -324,17 +299,16 @@ def lower(expr: ExprNode, procs: int = 1) -> LoopPlan:
         raise PartitionError(f"procs must be >= 1, got {procs}")
 
     shapes: dict[str, Shape] = {}
-    _leaf_shapes(expr, shapes)
-    buffers: dict[str, str] = {}
-    for name in shapes:
-        bname = buffer_name(name)
-        if bname in buffers.values():
-            raise LoweringError(
-                f"leaf names {sorted(shapes)} collide under buffer naming"
+    for leaf in leaves(expr):
+        seen = shapes.setdefault(leaf.name, leaf.shape)
+        if seen != leaf.shape:
+            raise ShapeError(
+                f"leaf {leaf.name!r} used with conflicting shapes {seen} and {leaf.shape}"
             )
-        buffers[name] = bname
+    if len({buffer_name(name) for name in shapes}) != len(shapes):
+        raise LoweringError(f"leaf names {sorted(shapes)} collide under buffer naming")
 
-    built, occ_names = _build(expr, itertools.count())
+    built = _build(expr, itertools.count())
     digits = _coalesce([digit for group in built.axes for digit in group])
 
     outer_extent = digits[0].extent if digits else 1
@@ -367,17 +341,15 @@ def lower(expr: ExprNode, procs: int = 1) -> LoopPlan:
         Affine(tuple((names[k], suffix[k]) for k in range(len(digits))), 0),
     )
 
-    def realize(template: Any) -> BodyExpr:
-        if template[0] == "read":
-            occ = template[1]
-            terms = tuple(
-                (names[k], digits[k].coeffs[occ])
-                for k in range(len(digits))
-                if digits[k].coeffs.get(occ, 0) != 0
-            )
-            return FlatRead(buffers[occ_names[occ]], Affine(terms, 0))
-        _, op, left, right = template
-        return OpExpr(op, realize(left), realize(right))
+    def realize(body: ScalarReadPlan) -> ScalarReadPlan:
+        if isinstance(body, Combine):
+            return Combine(body.op, realize(body.left), realize(body.right))
+        terms = tuple(
+            (name, digit.coeffs[body.offset])
+            for name, digit in zip(names, digits)
+            if digit.coeffs.get(body.offset, 0) != 0
+        )
+        return LeafRead(body.name, Affine(terms, 0))
 
     return LoopPlan(
         procs=procs,
@@ -423,18 +395,18 @@ def _run_slice(
 
 
 def _eval_body(
-    body: BodyExpr, buffers: dict[str, np.ndarray], bindings: dict[str, int]
+    body: ScalarReadPlan, buffers: dict[str, np.ndarray], bindings: dict[str, int]
 ) -> float:
-    if isinstance(body, FlatRead):
+    if isinstance(body, LeafRead):
         try:
-            buf = buffers[body.buffer]
+            buf = buffers[body.name]
         except KeyError:
-            raise PlanError(f"plan reads unbound buffer {body.buffer!r}") from None
+            raise PlanError(f"plan reads unbound buffer {body.name!r}") from None
         offset = body.offset.evaluate(bindings)
         if not 0 <= offset < buf.size:
             raise PlanError(
                 f"read offset {offset} out of range [0, {buf.size}) "
-                f"for buffer {body.buffer!r}"
+                f"for buffer {body.name!r}"
             )
         return float(buf[offset])
     return apply_op(
@@ -451,15 +423,17 @@ def execute_plan(
 
     The outer loop's iterations are dealt to the plan's virtual processors
     in contiguous chunks.  Sequential execution runs the processors in
-    order; parallel execution runs them on a thread pool.  Both fill
-    disjoint slabs of the output, so results are identical bit for bit.
+    order; parallel execution runs them on a thread pool of at most
+    os.cpu_count() threads, where the slabs queue.  Both fill disjoint slabs
+    of the output, so results are identical bit for bit.
     """
     out = np.zeros(pi(plan.out_shape), dtype=np.float64)
     outer = plan.loops[0].values()
     chunk = plan.loops[0].count // plan.procs
     slices = [outer[k * chunk : (k + 1) * chunk] for k in range(plan.procs)]
     if parallel and plan.procs > 1:
-        with ThreadPoolExecutor(max_workers=plan.procs) as pool:
+        workers = min(plan.procs, os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_slice, plan, buffers, out, sl) for sl in slices
             ]
@@ -483,9 +457,9 @@ def _affine_to_obj(affine: Affine) -> dict:
     }
 
 
-def _body_to_obj(body: BodyExpr) -> dict:
-    if isinstance(body, FlatRead):
-        return {"buffer": body.buffer, "offset": _affine_to_obj(body.offset)}
+def _body_to_obj(body: ScalarReadPlan) -> dict:
+    if isinstance(body, LeafRead):
+        return {"buffer": body.name, "offset": _affine_to_obj(body.offset)}
     return {"op": body.op, "args": [_body_to_obj(body.left), _body_to_obj(body.right)]}
 
 
@@ -515,22 +489,39 @@ def plan_to_json(plan: LoopPlan) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
+def _json_int(value: Any, what: str) -> int:
+    if type(value) is not int:  # rejects bool, float and numeric strings
+        raise PlanError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_str(value: Any, what: str) -> str:
+    if not isinstance(value, str):
+        raise PlanError(f"{what} must be a JSON string, got {value!r}")
+    return value
+
+
 def _affine_from_obj(obj: dict) -> Affine:
     try:
-        terms = tuple((t["var"], int(t["coeff"])) for t in obj["terms"])
-        return Affine(terms, int(obj["const"]))
+        terms = tuple(
+            (_json_str(t["var"], "term var"), _json_int(t["coeff"], "term coeff"))
+            for t in obj["terms"]
+        )
+        return Affine(terms, _json_int(obj["const"], "affine const"))
     except (KeyError, TypeError) as exc:
         raise PlanError(f"bad affine offset object: {obj!r}") from exc
 
 
-def _body_from_obj(obj: dict) -> BodyExpr:
+def _body_from_obj(obj: dict) -> ScalarReadPlan:
     if "buffer" in obj:
-        return FlatRead(obj["buffer"], _affine_from_obj(obj["offset"]))
+        return LeafRead(_json_str(obj["buffer"], "read buffer"), _affine_from_obj(obj["offset"]))
     if "op" in obj:
+        if obj["op"] not in OPS:
+            raise PlanError(f"body op must be one of {OPS}, got {obj['op']!r}")
         args = obj.get("args", [])
         if len(args) != 2:
             raise PlanError(f"body op node needs 2 args, got {len(args)}")
-        return OpExpr(obj["op"], _body_from_obj(args[0]), _body_from_obj(args[1]))
+        return Combine(obj["op"], _body_from_obj(args[0]), _body_from_obj(args[1]))
     raise PlanError(f"unrecognized body node: {obj!r}")
 
 
@@ -542,20 +533,23 @@ def plan_from_json(text: str) -> LoopPlan:
     try:
         loops = tuple(
             LoopSpec(
-                var=l["var"],
-                start=int(l["start"]),
-                stop=int(l["stop"]),
-                stride=int(l["stride"]),
-                count=int(l["count"]),
+                var=_json_str(l["var"], "loop var"),
+                start=_json_int(l["start"], "loop start"),
+                stop=_json_int(l["stop"], "loop stop"),
+                stride=_json_int(l["stride"], "loop stride"),
+                count=_json_int(l["count"], "loop count"),
             )
             for l in doc["loops"]
         )
         write_obj = doc["body"]["write"]
         plan = LoopPlan(
-            procs=int(doc["procs"]),
-            out_shape=as_shape(int(e) for e in doc["out_shape"]),
+            procs=_json_int(doc["procs"], "procs"),
+            out_shape=as_shape(_json_int(e, "out_shape extent") for e in doc["out_shape"]),
             loops=loops,
-            write=FlatWrite(write_obj["buffer"], _affine_from_obj(write_obj["offset"])),
+            write=FlatWrite(
+                _json_str(write_obj["buffer"], "write buffer"),
+                _affine_from_obj(write_obj["offset"]),
+            ),
             body=_body_from_obj(doc["body"]["expr"]),
         )
     except (KeyError, TypeError) as exc:

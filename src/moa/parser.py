@@ -14,6 +14,10 @@ NAME is a leaf bound in the caller's shape environment.  Syntax problems
 raise ParseError with line and column; semantic problems (bad permutation,
 reshape count mismatch, non-matrix kron operands) surface as ShapeError from
 node construction.
+
+Calls may nest at most MAX_NESTING deep.  The evaluators and the lowering
+recurse a few frames per level (a kron costs four), so the limit keeps every
+route well inside Python's recursion limit; deeper text is a ParseError.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .exprs import OPS, ExprNode, Kron, Leaf, Outer, Reshape, TransposeG
 from .shapes import Shape
 
 _PUNCT = "()[],"
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,8 @@ class _Parser:
         self.pos += 1
         return token
 
-    def parse_expr(self) -> ExprNode:
+    def parse_expr(self, depth: int = 0) -> ExprNode:
+        """Parse one expression nested inside ``depth`` enclosing calls."""
         token = self.take("name")
         word = token.text
         if self.peek().kind != "(":
@@ -103,6 +109,10 @@ class _Parser:
             if word not in self.shapes:
                 raise ParseError(f"unknown array name {word!r}", token.line, token.column)
             return Leaf(word, self.shapes[word])
+        if depth == MAX_NESTING:
+            raise ParseError(
+                f"expression nests deeper than {MAX_NESTING} calls", token.line, token.column
+            )
         if word == "outer":
             self.take("(")
             op_token = self.take("name")
@@ -113,30 +123,30 @@ class _Parser:
                     op_token.column,
                 )
             self.take(",")
-            left = self.parse_expr()
+            left = self.parse_expr(depth + 1)
             self.take(",")
-            right = self.parse_expr()
+            right = self.parse_expr(depth + 1)
             self.take(")")
             return Outer(op_token.text, left, right)
         if word == "kron":
             self.take("(")
-            left = self.parse_expr()
+            left = self.parse_expr(depth + 1)
             self.take(",")
-            right = self.parse_expr()
+            right = self.parse_expr(depth + 1)
             self.take(")")
             return Kron(left, right)
         if word == "transpose":
             self.take("(")
             order = self.parse_intlist()
             self.take(",")
-            child = self.parse_expr()
+            child = self.parse_expr(depth + 1)
             self.take(")")
             return TransposeG(order, child)
         if word == "reshape":
             self.take("(")
             extents = self.parse_intlist()
             self.take(",")
-            child = self.parse_expr()
+            child = self.parse_expr(depth + 1)
             self.take(")")
             return Reshape(extents, child)
         raise ParseError(f"unknown function {word!r}", token.line, token.column)

@@ -1,0 +1,201 @@
+"""Input limits and strict checks: deep nesting, thread-pool sizing, untrusted
+plan JSON, and usage errors that must win over data errors."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from moa import (
+    DenseArray,
+    Kron,
+    Leaf,
+    Outer,
+    PlanError,
+    TransposeG,
+    execute_plan,
+    flatten_operands,
+    leaves,
+    lower,
+    plan_from_json,
+    plan_to_json,
+)
+from moa import lowering
+from moa.cli import main
+from moa.parser import MAX_NESTING
+
+
+@pytest.fixture
+def unit_file(tmp_path):
+    path = tmp_path / "A.json"
+    path.write_text(DenseArray((1, 1), [2.0]).to_json())
+    return str(path)
+
+
+def kron_chain(nesting: int) -> str:
+    return "kron(" * nesting + "A" + ", A)" * nesting
+
+
+def transpose_nest(nesting: int) -> str:
+    return "transpose([1, 0], " * nesting + "A" + ")" * nesting
+
+
+COMMANDS = [
+    ["shape"],
+    ["eval"],
+    ["eval", "--index", "0,0"],
+    ["dnf", "--index", "0,0"],
+    ["onf"],
+    ["onf", "--run"],
+]
+
+
+@pytest.mark.parametrize("build", [kron_chain, transpose_nest])
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_deepest_accepted_nesting_runs(build, command, unit_file, capsys):
+    code = main(command + ["--expr", build(MAX_NESTING), "--array", f"A={unit_file}"])
+    assert code == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build", [kron_chain, transpose_nest])
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_one_level_deeper_is_a_parse_error(build, command, unit_file, capsys):
+    code = main(command + ["--expr", build(MAX_NESTING + 1), "--array", f"A={unit_file}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"nests deeper than {MAX_NESTING}" in err
+    assert "line 1, column" in err
+
+
+def test_too_deep_nesting_prints_no_traceback(unit_file):
+    result = subprocess.run(
+        [sys.executable, "-m", "moa.cli", "eval", "--expr", kron_chain(MAX_NESTING + 1)]
+        + ["--array", f"A={unit_file}"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ")
+
+
+def double_outer():
+    a = Leaf("A", (2, 2))
+    return Outer("mul", Outer("mul", a, Leaf("B", (3, 3))), a)
+
+
+def double_outer_env():
+    return {
+        "A": DenseArray((2, 2), [1.0, 2.0, 3.0, 4.0]),
+        "B": DenseArray((3, 3), [float(v) for v in range(1, 10)]),
+    }
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+def test_thread_pool_is_capped_at_cpu_count(monkeypatch, cpus, workers):
+    seen = []
+
+    class SpyPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(lowering, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(lowering.os, "cpu_count", lambda: cpus)
+    plan = lower(double_outer(), procs=4)
+    buffers = flatten_operands(double_outer_env())
+    sequential = execute_plan(plan, buffers)
+    threaded = execute_plan(plan, buffers, parallel=True)
+    assert seen == [workers]
+    assert threaded.to_numpy().tobytes() == sequential.to_numpy().tobytes()
+
+
+def plan_doc() -> dict:
+    return json.loads(plan_to_json(lower(double_outer(), procs=4)))
+
+
+def set_procs(doc, value):
+    doc["procs"] = value
+
+
+def set_count(doc, value):
+    doc["loops"][0]["count"] = value
+
+
+def set_extent(doc, value):
+    doc["out_shape"][0] = value
+
+
+def set_coeff(doc, value):
+    doc["body"]["write"]["offset"]["terms"][-1]["coeff"] = value
+
+
+def set_op(doc, value):
+    doc["body"]["expr"]["op"] = value
+
+
+def set_var(doc, value):
+    """Rename loop variable p everywhere, so the plan stays consistent."""
+    nodes = [doc]
+    while nodes:
+        node = nodes.pop()
+        items = node.values() if isinstance(node, dict) else node
+        if isinstance(node, dict) and node.get("var") == "p":
+            node["var"] = value
+        nodes += [item for item in items if isinstance(item, (dict, list))]
+
+
+def set_buffer(doc, value):
+    doc["body"]["expr"]["args"][1]["buffer"] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, value",
+    [
+        (set_procs, "4"),
+        (set_procs, True),
+        (set_count, 4.9),  # loop p runs 4 times
+        (set_extent, 2.5),  # the output's first extent is 2
+        (set_coeff, True),
+        (set_op, "pow"),
+        (set_var, 7),
+        (set_buffer, ["avec"]),
+    ],
+    ids=["string procs", "bool procs", "float count", "float extent", "bool coeff",
+         "unknown op", "int var", "list buffer"],
+)
+def test_plan_from_json_rejects_loose_values(mutate, value):
+    doc = plan_doc()
+    assert plan_from_json(json.dumps(doc)) == lower(double_outer(), procs=4)
+    mutate(doc, value)
+    with pytest.raises(PlanError):
+        plan_from_json(json.dumps(doc))
+
+
+def test_parallel_without_run_is_a_usage_error_before_lowering(tmp_path, capsys):
+    paths = []
+    for name, array in double_outer_env().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(array.to_json())
+        paths += ["--array", f"{name}={path}"]
+    expr = "outer(mul, outer(mul, A, B), A)"
+    # procs 5 does not partition this plan: without --parallel that is exit 3
+    assert main(["onf", "--expr", expr, "--procs", "5"] + paths) == 3
+    capsys.readouterr()
+    code = main(["onf", "--expr", expr, "--procs", "5", "--parallel"] + paths)
+    assert code == 2
+    assert "--parallel requires --run" in capsys.readouterr().err
+
+
+def test_leaves_walks_expressions_and_plan_bodies_left_to_right():
+    expr = Kron(Leaf("A", (2, 2)), TransposeG((1, 0), Leaf("C", (2, 3))))
+    assert [leaf.name for leaf in leaves(Outer("add", expr, Leaf("B", (3,))))] == [
+        "A",
+        "C",
+        "B",
+    ]
+    assert [read.name for read in leaves(lower(expr).body)] == ["avec", "cvec"]
