@@ -41,6 +41,7 @@ from .exprs import (
     apply_op,
     eval_element,
     evaluate_plan,
+    fold_plan,
     infer_shape,
     leaves,
     materialize,
@@ -116,6 +117,7 @@ __all__ = [
     "execute_plan",
     "flatten",
     "flatten_operands",
+    "fold_plan",
     "gradeup",
     "infer_shape",
     "kron_desugar",

@@ -91,7 +91,7 @@ class DenseArray:
     @property
     def data(self) -> tuple[float, ...]:
         """Row-major element tuple (a copy, like every public view)."""
-        return tuple(float(x) for x in self._buffer)
+        return tuple(self._buffer.tolist())
 
     def read_flat(self, offset: int) -> float:
         """One scalar at a flat row-major offset.  Counted."""

@@ -97,7 +97,7 @@ class _Usage(Exception):
 
 
 def _array_to_obj(array: DenseArray) -> dict:
-    return {"shape": list(array.shape), "data": [float(x) for x in array.data]}
+    return {"shape": list(array.shape), "data": array.data}
 
 
 def _read_plan_to_obj(plan: ScalarReadPlan) -> dict:

@@ -23,16 +23,18 @@ exactly one element per Leaf read, no matter how deep the expression is.
 The same read/op tree is the body of an ONF loop plan (see lowering): there a
 LeafRead's offset is an Affine function of the loop variables rather than an
 int, so the DNF and the ONF are one IR at two stages of binding.  leaves()
-walks the leaf occurrences of either kind of tree from left to right.
+walks the leaf occurrences of either kind of tree from left to right, and
+fold_plan evaluates either kind: evaluate_plan folds counted scalar reads,
+lowering.execute_plan folds strided array views.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from .arrays import DenseArray
 from .errors import EvaluationError, ShapeError
@@ -55,17 +57,16 @@ if TYPE_CHECKING:
 
 OPS = ("mul", "add", "sub", "div")
 
-_OP_FUNCS = {"mul": operator.mul, "add": operator.add, "sub": operator.sub}
+_OP_FUNCS = dict(mul=operator.mul, add=operator.add, sub=operator.sub, div=operator.truediv)
 
 
-def apply_op(op: str, x: float, y: float) -> float:
-    if op == "div":
-        if y == 0.0:
-            raise EvaluationError("division by zero")
-        return x / y
+def apply_op(op: str, x, y):
+    """x op y for floats (DNF reads) or elementwise for numpy arrays (ONF views)."""
     func = _OP_FUNCS.get(op)
     if func is None:
         raise EvaluationError(f"unknown scalar op: {op!r}")
+    if op == "div" and (y == 0.0 if isinstance(y, float) else not y.all()):
+        raise EvaluationError("division by zero")
     return func(x, y)
 
 
@@ -250,17 +251,23 @@ def _check_env(expr: ExprNode, env: dict[str, DenseArray]) -> None:
             )
 
 
+def fold_plan(plan: ScalarReadPlan, read: Callable[[LeafRead], Any]) -> Any:
+    """Evaluate a read/op tree: ``read`` gives each leaf's value, and apply_op
+    combines values, so one fold serves scalar reads and array views alike."""
+    if isinstance(plan, LeafRead):
+        return read(plan)
+    return apply_op(plan.op, fold_plan(plan.left, read), fold_plan(plan.right, read))
+
+
 def evaluate_plan(plan: ScalarReadPlan, env: dict[str, DenseArray]) -> float:
     """Run a scalar read plan against bound buffers."""
-    if isinstance(plan, LeafRead):
-        try:
-            array = env[plan.name]
-        except KeyError:
-            raise EvaluationError(f"unbound leaf: {plan.name!r}") from None
-        return array.read_flat(plan.offset)
-    return apply_op(
-        plan.op, evaluate_plan(plan.left, env), evaluate_plan(plan.right, env)
-    )
+
+    def read(leaf: LeafRead) -> float:
+        if leaf.name not in env:
+            raise EvaluationError(f"unbound leaf: {leaf.name!r}")
+        return env[leaf.name].read_flat(leaf.offset)
+
+    return fold_plan(plan, read)
 
 
 def eval_element(

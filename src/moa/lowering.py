@@ -2,12 +2,16 @@
 
 A loop plan is the operational form of an expression: a nest of counted
 loops (start/stop/stride/count), a body that reads input buffers at affine
-offsets in the loop variables, and a single affine row-major write into the
-output buffer.  The body is the DNF's read/op IR (exprs.LeafRead and
-exprs.Combine, also exported as FlatRead and OpExpr) with each read's offset
-an Affine instead of an int.  Lowering never materializes intermediates:
-structural nodes (outer, transpose, reshape, kron) are compiled away into the
-offset algebra.
+offsets in the loop variables, and a single affine write into the output
+buffer that covers every output element exactly once.  The body is the DNF's
+read/op IR (exprs.LeafRead and exprs.Combine, also exported as FlatRead and
+OpExpr) with each read's offset an Affine instead of an int.  Lowering never
+materializes intermediates: structural nodes (outer, transpose, reshape,
+kron) are compiled away into the offset algebra.
+
+Over the loop box an affine offset is a base plus one step per loop, so
+execute_plan runs each read as one strided numpy view of its buffer and the
+body as exprs.fold_plan over those views.
 
 The algorithm tracks one "digit" per surviving unit of iteration.  A leaf
 axis starts as one digit carrying that axis's row-major stride into the
@@ -34,9 +38,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .arrays import DenseArray, counters
-from .errors import LoweringError, PartitionError, PlanError, ShapeError
+from .errors import DomainError, LoweringError, PartitionError, PlanError, ShapeError
 from .exprs import (
     OPS,
     Combine,
@@ -48,7 +53,7 @@ from .exprs import (
     Reshape,
     ScalarReadPlan,
     TransposeG,
-    apply_op,
+    fold_plan,
     leaves,
 )
 from .shapes import Shape, as_shape, pi
@@ -68,12 +73,6 @@ class Affine:
 
     terms: tuple[tuple[str, int], ...]
     const: int = 0
-
-    def evaluate(self, bindings: dict[str, int]) -> int:
-        total = self.const
-        for var, coeff in self.terms:
-            total += coeff * bindings[var]
-        return total
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,17 @@ class LoopSpec:
                 f"range({self.start}, {self.stop}, {self.stride}) = {expected}"
             )
 
-    def values(self) -> range:
-        return range(self.start, self.stop, self.stride)
+
+def _fold_offset(affine: Affine, loops: tuple[LoopSpec, ...]) -> tuple[int, list[int], int, int]:
+    """An affine offset over the loop box as (first offset, step per loop, lowest, highest).
+    A loop that runs once gets step 0, so no coefficient on it can overflow a stride."""
+    coeffs = dict.fromkeys((loop.var for loop in loops), 0)
+    for var, coeff in affine.terms:
+        coeffs[var] += coeff
+    base = affine.const + sum(coeffs[loop.var] * loop.start for loop in loops)
+    steps = [coeffs[loop.var] * loop.stride if loop.count > 1 else 0 for loop in loops]
+    spans = [step * (loop.count - 1) for step, loop in zip(steps, loops)]
+    return base, steps, base + sum(min(s, 0) for s in spans), base + sum(max(s, 0) for s in spans)
 
 
 @dataclass(frozen=True)
@@ -122,13 +130,16 @@ class LoopPlan:
         names = [loop.var for loop in self.loops]
         if len(set(names)) != len(names):
             raise PlanError(f"duplicate loop variables: {names}")
+        size = pi(self.out_shape)
+        if size == 0:
+            raise PlanError("zero-element output has no loop plan")
         iterations = 1
         for loop in self.loops:
             iterations *= loop.count
-        if iterations != pi(self.out_shape):
+        if iterations != size:
             raise PlanError(
                 f"loop nest runs {iterations} iterations, output shape "
-                f"{self.out_shape} has {pi(self.out_shape)} elements"
+                f"{self.out_shape} has {size} elements"
             )
         if self.procs < 1:
             raise PlanError(f"procs must be >= 1, got {self.procs}")
@@ -144,6 +155,22 @@ class LoopPlan:
             for var, _ in affine.terms:
                 if var not in known:
                     raise PlanError(f"offset references unknown loop variable {var!r}")
+        # The write offsets are a permutation of range(size) exactly when they
+        # start at 0 and the loop steps, sorted by size, are the mixed-radix
+        # place values of their counts.
+        _, steps, low, high = _fold_offset(self.write.offset, self.loops)
+        radix = 1
+        for step, count in sorted(
+            (abs(step), loop.count) for step, loop in zip(steps, self.loops) if loop.count > 1
+        ):
+            if step != radix:
+                break
+            radix *= count
+        if low != 0 or radix != size:
+            raise PlanError(
+                f"write offsets in [{low}, {high}] do not cover the {size} "
+                f"elements of out exactly once"
+            )
 
 
 # --- symbolic digits ---------------------------------------------------------
@@ -376,72 +403,55 @@ def flatten_operands(env: dict[str, DenseArray]) -> dict[str, np.ndarray]:
     return buffers
 
 
-def _run_slice(
-    plan: LoopPlan,
-    buffers: dict[str, np.ndarray],
-    out: np.ndarray,
-    outer_values: range,
-) -> None:
-    inner = [loop.values() for loop in plan.loops[1:]]
-    names = [loop.var for loop in plan.loops]
-    for outer in outer_values:
-        for rest in itertools.product(*inner):
-            bindings = dict(zip(names, (outer, *rest)))
-            value = _eval_body(plan.body, buffers, bindings)
-            offset = plan.write.offset.evaluate(bindings)
-            if not 0 <= offset < out.size:
-                raise PlanError(f"write offset {offset} out of range [0, {out.size})")
-            out[offset] = value
-
-
-def _eval_body(
-    body: ScalarReadPlan, buffers: dict[str, np.ndarray], bindings: dict[str, int]
-) -> float:
-    if isinstance(body, LeafRead):
-        try:
-            buf = buffers[body.name]
-        except KeyError:
-            raise PlanError(f"plan reads unbound buffer {body.name!r}") from None
-        offset = body.offset.evaluate(bindings)
-        if not 0 <= offset < buf.size:
-            raise PlanError(
-                f"read offset {offset} out of range [0, {buf.size}) "
-                f"for buffer {body.name!r}"
-            )
-        return float(buf[offset])
-    return apply_op(
-        body.op,
-        _eval_body(body.left, buffers, bindings),
-        _eval_body(body.right, buffers, bindings),
-    )
-
-
 def execute_plan(
     plan: LoopPlan, buffers: dict[str, np.ndarray], parallel: bool = False
 ) -> DenseArray:
     """Run a plan over flat input buffers and return the output array.
 
-    The outer loop's iterations are dealt to the plan's virtual processors
-    in contiguous chunks.  Sequential execution runs the processors in
-    order; parallel execution runs them on a thread pool of at most
-    os.cpu_count() threads, where the slabs queue.  Both fill disjoint slabs
-    of the output, so results are identical bit for bit.
+    Each read is a read-only strided view, bounds-checked at its lowest and
+    highest offset before any arithmetic; results land in a strided view of
+    out.  Processor k fills slab k, a slice of the outer loop, in order or on
+    a thread pool of at most os.cpu_count() threads; slabs are disjoint, so
+    results are identical bit for bit.  A non-finite result is a DomainError.
     """
-    out = np.zeros(pi(plan.out_shape), dtype=np.float64)
-    outer = plan.loops[0].values()
-    chunk = plan.loops[0].count // plan.procs
-    slices = [outer[k * chunk : (k + 1) * chunk] for k in range(plan.procs)]
-    if parallel and plan.procs > 1:
-        workers = min(plan.procs, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_slice, plan, buffers, out, sl) for sl in slices
-            ]
-            for future in futures:
-                future.result()
-    else:
-        for sl in slices:
-            _run_slice(plan, buffers, out, sl)
+    counts = tuple(loop.count for loop in plan.loops)
+    views: dict[LeafRead, np.ndarray] = {}
+    for read in leaves(plan.body):
+        if read.name not in buffers:
+            raise PlanError(f"plan reads unbound buffer {read.name!r}")
+        buffer = np.ascontiguousarray(buffers[read.name], dtype=np.float64).reshape(-1)
+        base, steps, low, high = _fold_offset(read.offset, plan.loops)
+        if low < 0 or high >= buffer.size:
+            raise PlanError(
+                f"read offset {low if low < 0 else high} out of range "
+                f"[0, {buffer.size}) for buffer {read.name!r}"
+            )
+        views[read] = as_strided(buffer[base:], counts, [8 * s for s in steps], writeable=False)
+
+    size = pi(plan.out_shape)
+    chunk = counts[0] // plan.procs
+    base, steps, _, _ = _fold_offset(plan.write.offset, plan.loops)
+
+    def run_slab(k: int) -> None:
+        slab = slice(k * chunk, (k + 1) * chunk)
+        # errstate is per thread; overflow shows up in the finite check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            target[slab] = fold_plan(plan.body, lambda read: views[read][slab])
+
+    try:
+        out = np.empty(size, dtype=np.float64)
+        target = as_strided(out[base:], counts, [8 * s for s in steps])
+        if parallel and plan.procs > 1:
+            workers = min(plan.procs, os.cpu_count() or 1)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run_slab, range(plan.procs)))  # re-raises a slab's error
+        else:
+            for k in range(plan.procs):
+                run_slab(k)
+    except MemoryError:
+        raise PlanError(f"plan output of {size} elements does not fit in memory") from None
+    if not np.isfinite(out).all():
+        raise DomainError("array elements must be finite")
     out.setflags(write=False)
     result = DenseArray._from_buffer(plan.out_shape, out)
     counters.array_allocations += 1
@@ -489,6 +499,11 @@ def plan_to_json(plan: LoopPlan) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
+# Loaded bodies are walked recursively (execute_plan, plan_to_json); a
+# parsed expression nests at most parser.MAX_NESTING ops deep.
+MAX_BODY_DEPTH = 400
+
+
 def _json_int(value: Any, what: str) -> int:
     if type(value) is not int:  # rejects bool, float and numeric strings
         raise PlanError(f"{what} must be a JSON integer, got {value!r}")
@@ -512,7 +527,9 @@ def _affine_from_obj(obj: dict) -> Affine:
         raise PlanError(f"bad affine offset object: {obj!r}") from exc
 
 
-def _body_from_obj(obj: dict) -> ScalarReadPlan:
+def _body_from_obj(obj: dict, depth: int = 0) -> ScalarReadPlan:
+    if depth > MAX_BODY_DEPTH:
+        raise PlanError(f"plan body nests deeper than {MAX_BODY_DEPTH} ops")
     if "buffer" in obj:
         return LeafRead(_json_str(obj["buffer"], "read buffer"), _affine_from_obj(obj["offset"]))
     if "op" in obj:
@@ -521,7 +538,9 @@ def _body_from_obj(obj: dict) -> ScalarReadPlan:
         args = obj.get("args", [])
         if len(args) != 2:
             raise PlanError(f"body op node needs 2 args, got {len(args)}")
-        return Combine(obj["op"], _body_from_obj(args[0]), _body_from_obj(args[1]))
+        return Combine(
+            obj["op"], _body_from_obj(args[0], depth + 1), _body_from_obj(args[1], depth + 1)
+        )
     raise PlanError(f"unrecognized body node: {obj!r}")
 
 
@@ -530,6 +549,10 @@ def plan_from_json(text: str) -> LoopPlan:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PlanError(f"invalid plan JSON: {exc}") from exc
+    except RecursionError:
+        raise PlanError(
+            f"plan JSON nests too deep; a body may nest {MAX_BODY_DEPTH} ops"
+        ) from None
     try:
         loops = tuple(
             LoopSpec(

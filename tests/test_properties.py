@@ -169,3 +169,25 @@ def test_all_routes_agree(case):
         else:
             assert not dnf_div_zero
             assert np.array_equal(onf.to_numpy().reshape(-1), expected)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(cases())
+def test_parallel_run_is_bit_identical_to_sequential(case):
+    expr, env = case
+    try:
+        plan = lower(expr, procs=1)
+    except LoweringError:
+        return
+    buffers = flatten_operands(env)
+    outer = plan.loops[0].count
+    for procs in [d for d in range(1, outer + 1) if outer % d == 0]:
+        split = lower(expr, procs=procs)
+        runs = []
+        for parallel in (False, True):
+            try:
+                runs.append(execute_plan(split, buffers, parallel=parallel).to_numpy().tobytes())
+            except EvaluationError as exc:
+                assert is_div_by_zero(exc), exc
+                runs.append("division by zero")
+        assert runs[0] == runs[1]
