@@ -26,6 +26,7 @@ from .errors import (
     PartitionError,
     PlanError,
     ShapeError,
+    SizeError,
 )
 from .exprs import (
     OPS,
@@ -104,6 +105,7 @@ __all__ = [
     "Reshape",
     "ScalarReadPlan",
     "ShapeError",
+    "SizeError",
     "TransposeG",
     "apply_op",
     "builtin_env",

@@ -25,8 +25,10 @@ from .shapes import (
     Shape,
     as_index,
     as_shape,
+    check_bounds,
     pi,
     ravel_rowmajor,
+    ravel_unchecked,
 )
 
 
@@ -160,17 +162,10 @@ def psi(index: Sequence[int], array: DenseArray) -> float | DenseArray:
     shape = array.shape
     if len(index) > len(shape):
         raise ShapeError(f"index rank {len(index)} exceeds array rank {len(shape)}")
-    for axis, (component, extent) in enumerate(zip(index, shape)):
-        if not 0 <= component < extent:
-            raise BoundsError(
-                f"index component {component} out of range [0, {extent}) at axis {axis}"
-            )
+    check_bounds(index, shape)
     rest = shape[len(index) :]
     block = pi(rest)
-    start = 0
-    for component, extent in zip(index, shape):
-        start = start * extent + component
-    start *= block
+    start = ravel_unchecked(index, shape) * block
     if len(index) == len(shape):
         return array.read_flat(start)
     sub = array._buffer[start : start + block].copy()

@@ -11,6 +11,11 @@ class ShapeError(MoaError):
     """Shape, rank, permutation, or element-count mismatch."""
 
 
+class SizeError(ShapeError, OverflowError):
+    """Element count past 2**63 - 1.  Also an OverflowError, the builtin
+    error for a number too large for its representation."""
+
+
 class BoundsError(MoaError):
     """Index component or flat offset outside the valid range."""
 

@@ -12,20 +12,25 @@ Kron(left, right)          matrix Kronecker product; structurally sugar for
                            Reshape over a (0, 2, 1, 3) transpose of a
                            multiplicative Outer
 
-Every node computes its shape once, at construction.
+Every node computes its shape and its depth once, at construction; a tree
+deeper than MAX_NESTING calls is a ShapeError.
 
 Evaluation works by rewriting indices downward instead of materializing
 intermediates: psi_reduce turns (index, expression) into a ScalarReadPlan, a
 tree whose leaves are LeafRead flat reads of the input buffers and whose
 interior nodes are Combine scalar operations.  Evaluating that plan touches
 exactly one element per Leaf read, no matter how deep the expression is.
+materialize is the same rewrite applied to every index at once: the index
+components are int64 arrays, each LeafRead offset is an array of flat
+offsets, and each leaf occurrence is one gather.
 
 The same read/op tree is the body of an ONF loop plan (see lowering): there a
 LeafRead's offset is an Affine function of the loop variables rather than an
 int, so the DNF and the ONF are one IR at two stages of binding.  leaves()
 walks the leaf occurrences of either kind of tree from left to right, and
 fold_plan evaluates either kind: evaluate_plan folds counted scalar reads,
-lowering.execute_plan folds strided array views.
+materialize folds gathered arrays, lowering.execute_plan folds strided array
+views.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Union
 
-from .arrays import DenseArray
+import numpy as np
+
+from .arrays import DenseArray, counters
 from .errors import EvaluationError, ShapeError
 from .shapes import (
     MultiIndex,
@@ -44,18 +51,24 @@ from .shapes import (
     as_index,
     as_permutation,
     as_shape,
+    check_bounds,
     concat,
     gradeup,
     pi,
-    ravel_rowmajor,
+    ravel_unchecked,
     select,
-    unravel_rowmajor,
+    unravel_unchecked,
 )
 
 if TYPE_CHECKING:
     from .lowering import Affine
 
 OPS = ("mul", "add", "sub", "div")
+
+# Calls may nest at most this deep, parsed or built through the API.  Every
+# walk of a tree recurses a few frames per level (a kron costs four), so the
+# limit keeps them all well inside Python's recursion limit.
+MAX_NESTING = 100
 
 _OP_FUNCS = dict(mul=operator.mul, add=operator.add, sub=operator.sub, div=operator.truediv)
 
@@ -71,9 +84,28 @@ def apply_op(op: str, x, y):
 
 
 class ExprNode:
-    """Base class; every subclass is a frozen dataclass with a .shape."""
+    """Base class; every subclass is a frozen dataclass with a .shape and a
+    .depth, the calls on its deepest path (a Leaf is depth 0)."""
 
     shape: Shape
+    depth: int = 0
+
+
+def _nest(node: ExprNode, *children: ExprNode) -> None:
+    """Set node.depth to one more than its deepest child's; deeper than
+    MAX_NESTING is a ShapeError."""
+    depth = 1 + max(child.depth for child in children)
+    if depth > MAX_NESTING:
+        raise ShapeError(f"expression nests deeper than {MAX_NESTING} calls")
+    object.__setattr__(node, "depth", depth)
+
+
+def _at_child_depth(cls: type, **fields: Any) -> ExprNode:
+    """A node of already valid fields that adds no level to its child's depth."""
+    node = object.__new__(cls)
+    for name, value in {**fields, "depth": fields["child"].depth}.items():
+        object.__setattr__(node, name, value)
+    return node
 
 
 @dataclass(frozen=True)
@@ -93,11 +125,13 @@ class Outer(ExprNode):
     left: ExprNode
     right: ExprNode
     shape: Shape = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in OPS:
             raise ShapeError(f"outer op must be one of {OPS}, got {self.op!r}")
         object.__setattr__(self, "shape", concat(self.left.shape, self.right.shape))
+        _nest(self, self.left, self.right)
 
 
 @dataclass(frozen=True)
@@ -105,17 +139,20 @@ class TransposeG(ExprNode):
     perm: tuple[int, ...]
     child: ExprNode
     shape: Shape = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         perm = as_permutation(self.perm, len(self.child.shape))
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "shape", select(self.child.shape, perm))
+        _nest(self, self.child)
 
 
 @dataclass(frozen=True)
 class Reshape(ExprNode):
     shape: Shape
     child: ExprNode
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shape = as_shape(self.shape)
@@ -125,6 +162,7 @@ class Reshape(ExprNode):
                 f"{pi(self.child.shape)} -> {pi(shape)}"
             )
         object.__setattr__(self, "shape", shape)
+        _nest(self, self.child)
 
 
 @dataclass(frozen=True)
@@ -132,6 +170,7 @@ class Kron(ExprNode):
     left: ExprNode
     right: ExprNode
     shape: Shape = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.left.shape) != 2 or len(self.right.shape) != 2:
@@ -141,6 +180,7 @@ class Kron(ExprNode):
             )
         (m, n), (p, q) = self.left.shape, self.right.shape
         object.__setattr__(self, "shape", (m * p, n * q))
+        _nest(self, self.left, self.right)
 
     @cached_property
     def desugared(self) -> Reshape:
@@ -149,11 +189,13 @@ class Kron(ExprNode):
         Outer(mul) of an m-by-n and a p-by-q matrix has shape
         (m, n, p, q); permuting to (m, p, n, q) groups row and column
         block digits so a row-major reshape to (m*p, n*q) lands every
-        product at its Kronecker position.
+        product at its Kronecker position.  The three nodes stand for this
+        one call, so none is deeper than it.
         """
-        return Reshape(
-            self.shape, TransposeG((0, 2, 1, 3), Outer("mul", self.left, self.right))
-        )
+        (m, n), (p, q) = self.left.shape, self.right.shape
+        outer = Outer("mul", self.left, self.right)
+        blocked = _at_child_depth(TransposeG, perm=(0, 2, 1, 3), child=outer, shape=(m, p, n, q))
+        return _at_child_depth(Reshape, shape=self.shape, child=blocked)
 
 
 def infer_shape(expr: ExprNode) -> Shape:
@@ -191,7 +233,8 @@ def psi_reduce(index: MultiIndex, expr: ExprNode) -> ScalarReadPlan:
     """Rewrite a full index against ``expr`` down to leaf reads.
 
     This is the normalization step: each structural node becomes an index
-    transformation, and only Leaf emits an actual memory access.
+    transformation, and only Leaf emits an actual memory access.  The index is
+    checked once: every rewrite maps an in-range index to an in-range index.
     """
     index = as_index(index)
     shape = expr.shape
@@ -199,28 +242,24 @@ def psi_reduce(index: MultiIndex, expr: ExprNode) -> ScalarReadPlan:
         raise ShapeError(
             f"index rank {len(index)} does not match expression rank {len(shape)}"
         )
+    check_bounds(index, shape)
+    return _psi(index, expr)
 
+
+def _psi(index: tuple, expr: ExprNode) -> ScalarReadPlan:
+    """Psi rewrite of an in-range index: components are ints or int64 arrays."""
     if isinstance(expr, Leaf):
-        return LeafRead(expr.name, ravel_rowmajor(index, shape))
-
+        return LeafRead(expr.name, ravel_unchecked(index, expr.shape))
     if isinstance(expr, Outer):
         split = len(expr.left.shape)
-        return Combine(
-            expr.op,
-            psi_reduce(index[:split], expr.left),
-            psi_reduce(index[split:], expr.right),
-        )
-
+        return Combine(expr.op, _psi(index[:split], expr.left), _psi(index[split:], expr.right))
     if isinstance(expr, TransposeG):
-        return psi_reduce(select(index, gradeup(expr.perm)), expr.child)
-
+        return _psi(select(index, gradeup(expr.perm)), expr.child)
     if isinstance(expr, Reshape):
-        offset = ravel_rowmajor(index, shape)
-        return psi_reduce(unravel_rowmajor(offset, expr.child.shape), expr.child)
-
+        offset = ravel_unchecked(index, expr.shape)
+        return _psi(unravel_unchecked(offset, expr.child.shape), expr.child)
     if isinstance(expr, Kron):
-        return psi_reduce(index, expr.desugared)
-
+        return _psi(index, expr.desugared)
     raise ShapeError(f"unknown expression node: {type(expr).__name__}")
 
 
@@ -282,12 +321,18 @@ def eval_element(
 
 
 def materialize(expr: ExprNode, env: dict[str, DenseArray]) -> DenseArray:
-    """Evaluate the whole expression element by element."""
+    """Evaluate the whole expression: the psi rewrite of every index at once,
+    with int64 arrays as index components and one counted gather per Leaf
+    occurrence, combined by the same fold as a single element."""
     _check_env(expr, env)
-    shape = expr.shape
-    total = pi(shape)
-    values = [0.0] * total
-    for offset in range(total):
-        index = unravel_rowmajor(offset, shape)
-        values[offset] = evaluate_plan(psi_reduce(index, expr), env)
-    return DenseArray(shape, values)
+    total = pi(expr.shape)
+    index = unravel_unchecked(np.arange(total, dtype=np.int64), expr.shape)
+
+    def gather(leaf: LeafRead) -> np.ndarray:
+        counters.scalar_reads += total
+        # a rank-0 leaf reads offset 0 for each element (for none if total is 0)
+        return np.broadcast_to(env[leaf.name]._buffer[leaf.offset], (total,))
+
+    with np.errstate(over="ignore", invalid="ignore"):  # DenseArray rejects inf and nan
+        values = fold_plan(_psi(index, expr), gather)
+    return DenseArray(expr.shape, values)

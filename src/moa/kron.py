@@ -5,8 +5,9 @@ The Kronecker product of an m-by-n matrix A and a p-by-q matrix B is the
 A[i, j] * B[l, m].  Rather than materializing it, every entry is reachable
 by decomposing its row and column into those mixed-radix digits, which is
 exactly what the Reshape/TransposeG/Outer desugaring does via index
-rewriting.  Chains of Kronecker products therefore evaluate element by
-element with one read per factor and no intermediate buffers.
+rewriting.  Chains of Kronecker products therefore evaluate with one read
+per factor per element and no intermediate buffers: one scalar per factor
+for a single entry, one gather per factor for the whole product.
 """
 
 from __future__ import annotations

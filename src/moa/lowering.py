@@ -499,8 +499,8 @@ def plan_to_json(plan: LoopPlan) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-# Loaded bodies are walked recursively (execute_plan, plan_to_json); a
-# parsed expression nests at most parser.MAX_NESTING ops deep.
+# Loaded bodies are walked recursively (execute_plan, plan_to_json); an
+# expression nests at most exprs.MAX_NESTING ops deep.
 MAX_BODY_DEPTH = 400
 
 

@@ -15,9 +15,8 @@ raise ParseError with line and column; semantic problems (bad permutation,
 reshape count mismatch, non-matrix kron operands) surface as ShapeError from
 node construction.
 
-Calls may nest at most MAX_NESTING deep.  The evaluators and the lowering
-recurse a few frames per level (a kron costs four), so the limit keeps every
-route well inside Python's recursion limit; deeper text is a ParseError.
+Calls may nest at most exprs.MAX_NESTING deep, the limit every expression
+node enforces; deeper text is a ParseError that names its line and column.
 """
 
 from __future__ import annotations
@@ -25,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .exprs import OPS, ExprNode, Kron, Leaf, Outer, Reshape, TransposeG
+from .exprs import MAX_NESTING, OPS, ExprNode, Kron, Leaf, Outer, Reshape, TransposeG
 from .shapes import Shape
 
 _PUNCT = "()[],"
-MAX_NESTING = 100
 
 
 @dataclass(frozen=True)

@@ -9,31 +9,19 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
-from .arrays import DenseArray, counters
+from .arrays import DenseArray
 from .errors import ShapeError
-from .shapes import as_permutation, gradeup, pi, select, unravel_rowmajor
+from .exprs import Leaf, TransposeG, materialize
 
 
 def transpose_general(order: Sequence[int], array: DenseArray) -> DenseArray:
     """Eagerly materialize the axis permutation of ``array``.
 
-    Walks every output index, pulling the source element through the inverse
-    permutation, so it doubles as an executable statement of the definition.
+    This is materialize of a TransposeG node: the psi rewrite pulls every
+    output index through the inverse permutation at once, so it doubles as an
+    executable statement of the definition.
     """
-    perm = as_permutation(order, array.ndim)
-    out_shape = select(array.shape, perm)
-    inverse = gradeup(perm)
-    src = array.to_numpy()
-    out = np.empty(pi(out_shape), dtype=np.float64)
-    for offset in range(out.size):
-        index = unravel_rowmajor(offset, out_shape)
-        out[offset] = src[select(index, inverse)]
-    out.setflags(write=False)
-    result = DenseArray._from_buffer(out_shape, out)
-    counters.array_allocations += 1
-    return result
+    return materialize(TransposeG(tuple(order), Leaf("a", array.shape)), {"a": array})
 
 
 def transpose_matrix(array: DenseArray) -> DenseArray:

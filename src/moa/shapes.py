@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import BoundsError, DomainError, ShapeError
+from .errors import BoundsError, DomainError, ShapeError, SizeError
 
 Shape = tuple[int, ...]
 MultiIndex = tuple[int, ...]
@@ -52,14 +52,14 @@ def as_permutation(order: Iterable[int], rank: int) -> AxisPermutation:
 def pi(shape: Sequence[int]) -> int:
     """Total element count of a shape.  pi(()) == 1.
 
-    Raises OverflowError past 2**63 - 1 so downstream C-width arithmetic
-    (flat offsets, loop bounds) can never wrap.
+    Raises SizeError (a ShapeError and an OverflowError) past 2**63 - 1 so
+    downstream C-width arithmetic (flat offsets, loop bounds) can never wrap.
     """
     total = 1
     for extent in shape:
         total *= extent
         if total > _MAX_ELEMENTS:
-            raise OverflowError(f"element count exceeds {_MAX_ELEMENTS}: shape {tuple(shape)}")
+            raise SizeError(f"element count exceeds {_MAX_ELEMENTS}: shape {tuple(shape)}")
     return total
 
 
@@ -82,6 +82,31 @@ def row_major_strides(shape: Shape) -> tuple[int, ...]:
     return tuple(strides)
 
 
+def check_bounds(index: Sequence[int], shape: Sequence[int]) -> None:
+    """Each component in [0, extent) of its axis (of the prefix, if shorter)."""
+    for axis, (component, extent) in enumerate(zip(index, shape)):
+        if not 0 <= component < extent:
+            raise BoundsError(
+                f"index component {component} out of range [0, {extent}) at axis {axis}"
+            )
+
+
+def ravel_unchecked(index, shape: Sequence[int]):
+    """Row-major Horner ravel of in-range ints, or of int64 arrays of one shape."""
+    offset = 0
+    for component, extent in zip(index, shape):
+        offset = offset * extent + component
+    return offset
+
+
+def unravel_unchecked(offset, shape: Sequence[int]) -> tuple:
+    """Inverse of ravel_unchecked for an in-range int or int64 array offset."""
+    components = [0] * len(shape)
+    for axis in range(len(shape) - 1, -1, -1):
+        offset, components[axis] = divmod(offset, shape[axis])
+    return tuple(components)
+
+
 def ravel_rowmajor(index: Sequence[int], shape: Shape) -> int:
     """Flat row-major offset of a full multi-index.
 
@@ -90,14 +115,8 @@ def ravel_rowmajor(index: Sequence[int], shape: Shape) -> int:
     index = as_index(index)
     if len(index) != len(shape):
         raise ShapeError(f"index rank {len(index)} does not match shape rank {len(shape)}")
-    offset = 0
-    for axis, (component, extent) in enumerate(zip(index, shape)):
-        if not 0 <= component < extent:
-            raise BoundsError(
-                f"index component {component} out of range [0, {extent}) at axis {axis}"
-            )
-        offset = offset * extent + component
-    return offset
+    check_bounds(index, shape)
+    return ravel_unchecked(index, shape)
 
 
 def unravel_rowmajor(offset: int, shape: Shape) -> MultiIndex:
@@ -105,11 +124,7 @@ def unravel_rowmajor(offset: int, shape: Shape) -> MultiIndex:
     total = pi(shape)
     if not 0 <= offset < total:
         raise BoundsError(f"flat offset {offset} out of range [0, {total})")
-    components = [0] * len(shape)
-    for axis in range(len(shape) - 1, -1, -1):
-        components[axis] = offset % shape[axis]
-        offset //= shape[axis]
-    return tuple(components)
+    return unravel_unchecked(offset, shape)
 
 
 def gradeup(values: Sequence[int]) -> AxisPermutation:

@@ -8,12 +8,16 @@ route, and no route may raise anything but a MoaError.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moa import (
     DenseArray,
+    DomainError,
     EvaluationError,
     Kron,
     Leaf,
@@ -21,9 +25,11 @@ from moa import (
     Outer,
     Reshape,
     TransposeG,
+    counters,
     eval_element,
     execute_plan,
     flatten_operands,
+    leaves,
     lower,
     materialize,
     materialize_stepwise,
@@ -191,3 +197,86 @@ def test_parallel_run_is_bit_identical_to_sequential(case):
                 assert is_div_by_zero(exc), exc
                 runs.append("division by zero")
         assert runs[0] == runs[1]
+
+
+def check_materialize(expr, env) -> None:
+    """materialize is the psi rewrite of every index at once: one gathered
+    read per leaf occurrence and element, one allocation, and the same bytes
+    as the stepwise oracle and as eval_element at each index."""
+    counters.reset()
+    result = materialize(expr, env)
+    assert counters.scalar_reads == len(list(leaves(expr))) * pi(expr.shape)
+    assert counters.array_allocations == 1
+    assert result.shape == expr.shape
+    got = result.to_numpy()
+    assert got.tobytes() == materialize_stepwise(expr, env).tobytes()
+    elements = [
+        eval_element(expr, unravel_rowmajor(offset, expr.shape), env)
+        for offset in range(pi(expr.shape))
+    ]
+    assert np.array(elements, dtype=np.float64).tobytes() == got.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(cases())
+def test_materialize_is_the_psi_rewrite_of_every_index(case):
+    expr, env = case
+    try:
+        check_materialize(expr, env)
+    except EvaluationError as exc:
+        assert is_div_by_zero(exc), exc
+        failures = 0
+        for offset in range(pi(expr.shape)):
+            try:
+                eval_element(expr, unravel_rowmajor(offset, expr.shape), env)
+            except EvaluationError as element_exc:
+                assert is_div_by_zero(element_exc), element_exc
+                failures += 1
+        assert failures > 0
+
+
+def test_materialize_broadcasts_a_rank_zero_leaf():
+    expr = Outer("mul", Leaf("A", (2, 3)), Outer("add", Leaf("S", ()), Leaf("B", (2,))))
+    env = {
+        "A": DenseArray((2, 3), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        "S": DenseArray((), [0.5]),
+        "B": DenseArray((2,), [1.0, -2.0]),
+    }
+    check_materialize(expr, env)
+    check_materialize(Leaf("S", ()), env)
+    check_materialize(Reshape((1, 1), Leaf("S", ())), env)
+
+
+def test_materialize_of_a_zero_extent_leaf_is_empty():
+    env = {
+        "Z": DenseArray((2, 0), []),
+        "A": DenseArray((2, 2), [1.0, 2.0, 3.0, 4.0]),
+        "S": DenseArray((), [0.0]),
+    }
+    for expr in [
+        Outer("add", Leaf("Z", (2, 0)), Leaf("A", (2, 2))),
+        Kron(Leaf("A", (2, 2)), Leaf("Z", (2, 0))),
+        Reshape((0, 5), Leaf("Z", (2, 0))),
+        # no element divides, so a zero divisor is no error
+        Outer("div", Leaf("Z", (2, 0)), Leaf("S", ())),
+    ]:
+        check_materialize(expr, env)
+        assert materialize(expr, env).data == ()
+
+
+def test_materialize_zero_denominator_is_an_evaluation_error():
+    a = Leaf("A", (2, 2))
+    env = {"A": DenseArray((2, 2), [1.0, 2.0, 0.0, 4.0]), "S": DenseArray((), [0.0])}
+    for expr in [Outer("div", a, a), Outer("div", a, Leaf("S", ())), Kron(a, Outer("div", Leaf("S", ()), a))]:
+        with pytest.raises(EvaluationError, match="division by zero"):
+            materialize(expr, env)
+
+
+def test_materialize_overflow_is_a_domain_error_without_warnings():
+    a = Leaf("A", (2,))
+    env = {"A": DenseArray((2,), [1e308, 1e308])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for expr in [Outer("mul", a, a), Outer("sub", Outer("mul", a, a), Outer("mul", a, a))]:
+            with pytest.raises(DomainError, match="must be finite"):
+                materialize(expr, env)

@@ -14,17 +14,24 @@ from moa import (
     DenseArray,
     Kron,
     Leaf,
+    MoaError,
     Outer,
     PlanError,
+    Reshape,
+    ShapeError,
     TransposeG,
     execute_plan,
     flatten_operands,
     leaves,
     lower,
+    materialize,
+    materialize_stepwise,
+    multi_kron,
     plan_from_json,
     plan_to_json,
+    psi_reduce,
 )
-from moa import lowering
+from moa import exprs, lowering, parser
 from moa.cli import main
 from moa.parser import MAX_NESTING
 
@@ -199,3 +206,59 @@ def test_leaves_walks_expressions_and_plan_bodies_left_to_right():
         "B",
     ]
     assert [read.name for read in leaves(lower(expr).body)] == ["avec", "cvec"]
+
+
+UNIT = Leaf("M", (1, 1))
+SCALAR = Leaf("S", ())
+
+
+def api_kron_chain(levels: int):
+    return multi_kron([UNIT] * (levels + 1))
+
+
+def api_nest(wrap):
+    def build(levels: int):
+        expr = UNIT
+        for _ in range(levels):
+            expr = wrap(expr)
+        return expr
+
+    return build
+
+
+API_BUILDS = {
+    "kron": api_kron_chain,
+    "transpose": api_nest(lambda e: TransposeG((1, 0), e)),
+    "reshape": api_nest(lambda e: Reshape((1, 1), e)),
+    "outer": api_nest(lambda e: Outer("add", e, SCALAR)),
+    "left kron": api_nest(lambda e: Kron(UNIT, e)),
+}
+
+
+def test_parser_and_nodes_share_one_nesting_limit():
+    assert parser.MAX_NESTING is exprs.MAX_NESTING == 100
+
+
+@pytest.mark.parametrize("build", API_BUILDS.values(), ids=API_BUILDS.keys())
+def test_api_built_trees_run_at_the_nesting_limit(build):
+    expr = build(MAX_NESTING)
+    assert expr.depth == MAX_NESTING
+    env = {"M": DenseArray((1, 1), [1.0]), "S": DenseArray((), [0.0])}
+    assert len(list(leaves(psi_reduce((0, 0), expr)))) == len(list(leaves(expr)))
+    assert materialize(expr, env).data == (1.0,)
+    assert lower(expr).out_shape == (1, 1)
+    assert materialize_stepwise(expr, env).tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING + 1, 1000])
+@pytest.mark.parametrize("build", API_BUILDS.values(), ids=API_BUILDS.keys())
+def test_api_built_trees_past_the_limit_are_shape_errors(build, levels):
+    with pytest.raises(ShapeError, match=f"nests deeper than {MAX_NESTING}"):
+        build(levels)
+
+
+def test_element_count_overflow_is_a_moa_error():
+    with pytest.raises(MoaError, match="element count exceeds"):
+        DenseArray((2**40, 2**40), [])
+    with pytest.raises(ShapeError):
+        Reshape((2**40, 2**40), Leaf("A", (2,)))
