@@ -47,6 +47,15 @@ class OpCounters:
 counters = OpCounters()
 
 
+def _float64(data: Any) -> np.ndarray:
+    """A new float64 array of ``data``; an integer too large for a float is a
+    DomainError, not numpy's OverflowError."""
+    try:
+        return np.array(data, dtype=np.float64)
+    except OverflowError as exc:
+        raise DomainError(f"array element out of float range: {exc}") from None
+
+
 class DenseArray:
     """Immutable dense array: a shape plus a row-major float64 buffer."""
 
@@ -54,7 +63,7 @@ class DenseArray:
 
     def __init__(self, shape: Iterable[int], data: Sequence[float] | np.ndarray):
         shape = as_shape(shape)
-        buffer = np.array(data, dtype=np.float64).reshape(-1)
+        buffer = _float64(data).reshape(-1)
         if buffer.size != pi(shape):
             raise ShapeError(
                 f"data has {buffer.size} elements, shape {shape} needs {pi(shape)}"
@@ -118,12 +127,12 @@ class DenseArray:
     @classmethod
     def from_nested(cls, nested: Any) -> "DenseArray":
         """Build from nested lists (or a scalar), numpy-style."""
-        arr = np.array(nested, dtype=np.float64)
+        arr = _float64(nested)
         return cls(arr.shape, arr.reshape(-1))
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "DenseArray":
-        return cls(arr.shape, np.ascontiguousarray(arr, dtype=np.float64).reshape(-1))
+        return cls(arr.shape, arr.reshape(-1))
 
     def to_numpy(self) -> np.ndarray:
         """Writable ndarray copy with this array's shape."""

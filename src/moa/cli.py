@@ -9,8 +9,11 @@ Subcommands:
     moa verify [--suite NAME] [--seed N]
 
 Arrays are JSON files of the form {"shape": [...], "data": [...]} with data
-in row-major order.  All JSON output is canonical: sorted keys, two-space
-indent, floats rendered with %.17g.  Shapes print as <e0 e1 ...>.
+in row-major order.  All JSON output comes from one writer,
+canonical.render_json: sorted keys, two-space indent, floats rendered with
+%.17g, strings escaped to ASCII as json.dumps escapes them.  Shapes print as
+<e0 e1 ...>.  The argument parser is built once per process, on the first
+call to main.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or expression syntax
 error, 3 shape/index/evaluation error.
@@ -19,10 +22,12 @@ error, 3 shape/index/evaluation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 from .arrays import DenseArray
+from .canonical import render_json
 from .errors import MoaError, ParseError
 from .exprs import Combine, LeafRead, ScalarReadPlan, eval_element, materialize, psi_reduce
 from .lowering import execute_plan, flatten_operands, lower, plan_to_json
@@ -32,36 +37,6 @@ from .verify import SUITES, run_suites
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
-
-
-def render_json(value, level: int = 0) -> str:
-    """Canonical JSON: sorted object keys, 2-space indent, %.17g floats."""
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [
-            f'{inner}"{key}": {render_json(value[key], level + 1)}'
-            for key in sorted(value)
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [f"{inner}{render_json(item, level + 1)}" for item in value]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return "%.17g" % value
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
 def format_shape(shape: Shape) -> str:
@@ -172,6 +147,7 @@ def _default_seed() -> int:
         raise _Usage(f"MOA_SEED must be an integer, got {raw!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="moa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -239,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (MoaError, OverflowError) as exc:
+    except MoaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

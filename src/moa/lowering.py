@@ -11,7 +11,10 @@ kron) are compiled away into the offset algebra.
 
 Over the loop box an affine offset is a base plus one step per loop, so
 execute_plan runs each read as one strided numpy view of its buffer and the
-body as exprs.fold_plan over those views.
+body as exprs.fold_plan over those views.  A body nests at most
+MAX_BODY_DEPTH ops deep, checked without recursion when the plan is built.
+plan_to_json writes the plan through canonical.render_json, the writer the
+CLI prints with, and plan_from_json reads it back strictly.
 
 The algorithm tracks one "digit" per surviving unit of iteration.  A leaf
 axis starts as one digit carrying that axis's row-major stride into the
@@ -41,6 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .arrays import DenseArray, counters
+from .canonical import render_json
 from .errors import DomainError, LoweringError, PartitionError, PlanError, ShapeError
 from .exprs import (
     OPS,
@@ -59,6 +63,11 @@ from .exprs import (
 from .shapes import Shape, as_shape, pi
 
 _LOOP_NAMES = "pqrstuvw"
+
+# Plan bodies are folded and serialized recursively (fold_plan,
+# plan_to_json), so LoopPlan and plan_from_json bound their depth; an
+# expression nests at most exprs.MAX_NESTING ops deep.
+MAX_BODY_DEPTH = 400
 
 
 def _loop_name(k: int) -> str:
@@ -101,6 +110,20 @@ class LoopSpec:
                 f"loop {self.var}: count {self.count} does not match "
                 f"range({self.start}, {self.stop}, {self.stride}) = {expected}"
             )
+
+
+def _body_depth(body: ScalarReadPlan) -> int:
+    """Most Combine nodes on one path from the root.  Iterative, so an
+    API-built body of any depth costs no stack."""
+    deepest = 0
+    stack = [(body, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, Combine):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+        else:
+            deepest = max(deepest, depth)
+    return deepest
 
 
 def _fold_offset(affine: Affine, loops: tuple[LoopSpec, ...]) -> tuple[int, list[int], int, int]:
@@ -148,6 +171,8 @@ class LoopPlan:
                 f"procs {self.procs} does not divide the outer loop count "
                 f"{self.loops[0].count}"
             )
+        if _body_depth(self.body) > MAX_BODY_DEPTH:
+            raise PlanError(f"plan body nests deeper than {MAX_BODY_DEPTH} ops")
         if self.write.buffer != "out":
             raise PlanError(f'write buffer must be "out", got {self.write.buffer!r}')
         known = set(names)
@@ -474,7 +499,8 @@ def _body_to_obj(body: ScalarReadPlan) -> dict:
 
 
 def plan_to_json(plan: LoopPlan) -> str:
-    """Canonical JSON for a plan: sorted keys, two-space indent."""
+    """Canonical JSON for a plan, from the one writer canonical.render_json:
+    sorted keys, two-space indent, strings escaped to ASCII."""
     doc = {
         "procs": plan.procs,
         "out_shape": list(plan.out_shape),
@@ -496,12 +522,7 @@ def plan_to_json(plan: LoopPlan) -> str:
             "expr": _body_to_obj(plan.body),
         },
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
-# Loaded bodies are walked recursively (execute_plan, plan_to_json); an
-# expression nests at most exprs.MAX_NESTING ops deep.
-MAX_BODY_DEPTH = 400
+    return render_json(doc)
 
 
 def _json_int(value: Any, what: str) -> int:

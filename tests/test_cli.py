@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from moa import DenseArray, materialize, parse
-from moa.cli import format_shape, main, render_json
+from moa import DenseArray, cli, materialize, parse
+from moa.cli import build_parser, format_shape, main, render_json
 
 
 @pytest.fixture
@@ -219,3 +219,53 @@ def test_console_entry_point(array_files):
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "<2 2>"
+
+
+def run_main(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call_without_leaking_state(array_files, capsys):
+    paths, _ = array_files
+    a, b = (["--array", f"{name}={paths[name]}"] for name in ("A", "B"))
+    calls = [
+        ["shape", "--expr", "outer(mul, A, B)", *a, *b],
+        ["shape", "--expr", "B", *a],  # B was bound only in the call before
+        ["eval", "--expr", "kron(A, B)", *a, *b, "--index", "0,3"],
+        ["eval", "--expr", "A", *a],
+        ["dnf", "--expr", "outer(mul, A, B)", *b, *a, "--index", "1,0,2,1"],
+        ["onf", "--expr", "kron(A, B)", *a, *b, "--procs", "2", "--run", "--parallel"],
+        ["onf", "--expr", "kron(A, B)", *a, *b],  # no --procs or --run carried over
+        ["verify", "--suite", "dyadics", "--seed", "3"],
+        ["eval", "--expr", "A"],  # no binding at all
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_main(argv, capsys))
+    build_parser.cache_clear()
+    assert [run_main(argv, capsys) for argv in calls] == fresh
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0, 0, 0, 0, 2]
+
+
+def test_json_output_goes_through_the_render_json_global(array_files, capsys, monkeypatch):
+    """Tracing wraps the moa.cli global, so every JSON print must look it up."""
+    paths, _ = array_files
+    rendered = []
+
+    def counting(doc):
+        rendered.append(doc)
+        return render_json(doc)
+
+    monkeypatch.setattr(cli, "render_json", counting)
+    for command in (
+        ["eval", "--expr", "kron(A, B)"],
+        ["dnf", "--expr", "kron(A, B)", "--index", "1,2"],
+        ["onf", "--expr", "kron(A, B)", "--run"],
+    ):
+        assert main(args_with_arrays(paths, *command)) == 0
+        assert capsys.readouterr().out == render_json(rendered[-1]) + "\n"
+    assert len(rendered) == 3

@@ -8,12 +8,20 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from moa import (
+    Affine,
+    Combine,
     DenseArray,
+    DomainError,
+    FlatWrite,
     Kron,
     Leaf,
+    LeafRead,
+    LoopPlan,
+    LoopSpec,
     MoaError,
     Outer,
     PlanError,
@@ -33,6 +41,7 @@ from moa import (
 )
 from moa import exprs, lowering, parser
 from moa.cli import main
+from moa.lowering import MAX_BODY_DEPTH
 from moa.parser import MAX_NESTING
 
 
@@ -262,3 +271,48 @@ def test_element_count_overflow_is_a_moa_error():
         DenseArray((2**40, 2**40), [])
     with pytest.raises(ShapeError):
         Reshape((2**40, 2**40), Leaf("A", (2,)))
+
+
+def api_plan(depth: int, nest_right: bool = False) -> LoopPlan:
+    """A one-element plan whose body is ``depth`` adds of one read, nested down
+    the left (or the right) argument."""
+    read = LeafRead("avec", Affine((), 0))
+    body = read
+    for _ in range(depth):
+        body = Combine("add", read, body) if nest_right else Combine("add", body, read)
+    loop = LoopSpec("p", 0, 1, 1, 1)
+    return LoopPlan(1, (1,), (loop,), FlatWrite("out", Affine((("p", 1),), 0)), body)
+
+
+@pytest.mark.parametrize("nest_right", [False, True])
+def test_api_built_plan_bodies_run_at_the_depth_limit(nest_right):
+    plan = api_plan(MAX_BODY_DEPTH, nest_right)
+    text = plan_to_json(plan)
+    assert plan_to_json(plan_from_json(text)) == text
+    result = execute_plan(plan, flatten_operands({"a": DenseArray((1,), [2.0])}))
+    assert result.data == (2.0 * (MAX_BODY_DEPTH + 1),)
+
+
+@pytest.mark.parametrize("depth", [MAX_BODY_DEPTH + 1, 3000])
+@pytest.mark.parametrize("nest_right", [False, True])
+def test_api_built_plan_bodies_past_the_limit_are_plan_errors(depth, nest_right):
+    with pytest.raises(PlanError, match=f"nests deeper than {MAX_BODY_DEPTH} ops"):
+        api_plan(depth, nest_right)
+
+
+def test_integer_past_the_float_range_is_a_domain_error(tmp_path, capsys):
+    huge = 10**400
+    builds = [
+        lambda: DenseArray((1,), [huge]),
+        lambda: DenseArray.from_nested([[huge]]),
+        lambda: DenseArray.from_numpy(np.array([huge], dtype=object)),
+    ]
+    for build in builds:
+        with pytest.raises(DomainError, match="out of float range"):
+            build()
+    path = tmp_path / "A.json"
+    path.write_text('{"shape": [1], "data": [' + str(huge) + "]}")
+    assert main(["eval", "--expr", "A", "--array", f"A={path}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: array element out of float range")
