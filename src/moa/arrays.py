@@ -46,6 +46,10 @@ class OpCounters:
 
 counters = OpCounters()
 
+# What json.loads makes of each JSON value; array data may hold only numbers.
+_JSON_NUMBERS = frozenset((int, float))
+_JSON_KINDS = {str: "string", bool: "boolean", list: "array", dict: "object", type(None): "null"}
+
 
 def _float64(data: Any) -> np.ndarray:
     """A new float64 array of ``data``; an integer too large for a float is a
@@ -140,10 +144,11 @@ class DenseArray:
 
     @classmethod
     def from_json(cls, text: str) -> "DenseArray":
-        """Parse {"shape": [...], "data": [...]} with row-major data."""
+        """Parse {"shape": [...], "data": [...]} with row-major data: a flat
+        list of JSON numbers, never strings, booleans or nested lists."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
             raise ShapeError(f"invalid array JSON: {exc}") from exc
         if not isinstance(doc, dict) or "shape" not in doc or "data" not in doc:
             raise ShapeError('array JSON must be an object with "shape" and "data"')
@@ -151,6 +156,12 @@ class DenseArray:
         data = doc["data"]
         if not isinstance(shape, list) or not isinstance(data, list):
             raise ShapeError('"shape" and "data" must both be JSON arrays')
+        if not set(map(type, data)) <= _JSON_NUMBERS:
+            k = next(k for k, x in enumerate(data) if type(x) not in _JSON_NUMBERS)
+            raise ShapeError(
+                f'"data" must be a flat list of JSON numbers; element {k} is a JSON '
+                f"{_JSON_KINDS[type(data[k])]}"
+            )
         return cls(as_shape(shape), data)
 
     def to_json(self) -> str:

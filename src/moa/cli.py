@@ -126,6 +126,8 @@ def cmd_onf(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise _Usage(f"--seed must be a non-negative integer, got {args.seed}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed)
     any_failed = False
@@ -142,9 +144,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _default_seed() -> int:
     raw = os.environ.get("MOA_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise _Usage(f"MOA_SEED must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise _Usage(f"MOA_SEED must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 @functools.cache

@@ -323,16 +323,22 @@ def eval_element(
 def materialize(expr: ExprNode, env: dict[str, DenseArray]) -> DenseArray:
     """Evaluate the whole expression: the psi rewrite of every index at once,
     with int64 arrays as index components and one counted gather per Leaf
-    occurrence, combined by the same fold as a single element."""
+    occurrence, combined by the same fold as a single element.  An output
+    too large for memory is an EvaluationError that names its element count."""
     _check_env(expr, env)
     total = pi(expr.shape)
-    index = unravel_unchecked(np.arange(total, dtype=np.int64), expr.shape)
 
     def gather(leaf: LeafRead) -> np.ndarray:
         counters.scalar_reads += total
         # a rank-0 leaf reads offset 0 for each element (for none if total is 0)
         return np.broadcast_to(env[leaf.name]._buffer[leaf.offset], (total,))
 
-    with np.errstate(over="ignore", invalid="ignore"):  # DenseArray rejects inf and nan
-        values = fold_plan(_psi(index, expr), gather)
-    return DenseArray(expr.shape, values)
+    try:
+        index = unravel_unchecked(np.arange(total, dtype=np.int64), expr.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # DenseArray rejects inf and nan
+            values = fold_plan(_psi(index, expr), gather)
+        return DenseArray(expr.shape, values)
+    except MemoryError:
+        raise EvaluationError(
+            f"expression output of {total} elements does not fit in memory"
+        ) from None

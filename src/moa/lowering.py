@@ -18,14 +18,16 @@ CLI prints with, and plan_from_json reads it back strictly.
 
 The algorithm tracks one "digit" per surviving unit of iteration.  A leaf
 axis starts as one digit carrying that axis's row-major stride into the
-leaf's buffer.  Outer concatenates digit groups, transpose permutes them,
-and reshape re-slices the digit stream into new axis groups, splitting a
-digit only when the split is exact.  An access that cannot be expressed
-affinely this way raises LoweringError.
+leaf's buffer, so each digit is an extent plus one (leaf occurrence,
+coefficient) pair.  Outer concatenates digit groups, transpose permutes
+them, and reshape re-slices the digit stream into new axis groups,
+splitting a digit only when the split is exact.  An access that cannot be
+expressed affinely this way raises LoweringError, whose message always says
+"not affine".
 
-After the walk, adjacent digits whose read coefficients chain (outer
-coefficient equals inner coefficient times inner extent, for every read)
-coalesce into a single longer loop.  The plan's virtual processor count must
+After the walk, adjacent digits of the same read whose coefficients chain
+(outer coefficient equals inner coefficient times inner extent) coalesce
+into a single longer loop.  The plan's virtual processor count must
 divide the outermost coalesced loop extent; the outer loop is then split so
 its leading dimension equals the processor count and each processor owns one
 contiguous slab of the output.
@@ -35,10 +37,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -200,13 +203,13 @@ class LoopPlan:
 
 # --- symbolic digits ---------------------------------------------------------
 
-@dataclass
-class _Digit:
-    """One unit of iteration: an extent plus, per leaf occurrence, the
-    coefficient its value contributes to that occurrence's read offset."""
+class _Digit(NamedTuple):
+    """One unit of iteration: an extent, the leaf occurrence whose axis it
+    came from (-1 for none) and its nonzero coefficient in that read's offset."""
 
     extent: int
-    coeffs: dict[int, int] = field(default_factory=dict)
+    occ: int
+    coeff: int
 
 
 @dataclass
@@ -221,12 +224,10 @@ def _split_digit(digit: _Digit, head: int) -> tuple[_Digit, _Digit]:
     """Split extent e into (head, e // head); head must divide e.
 
     The original digit value v factors as v = hi * (e // head) + lo, so the
-    high digit inherits each coefficient scaled by the low extent.
+    high digit inherits the coefficient scaled by the low extent.
     """
     low = digit.extent // head
-    hi = _Digit(head, {occ: c * low for occ, c in digit.coeffs.items()})
-    lo = _Digit(low, dict(digit.coeffs))
-    return hi, lo
+    return _Digit(head, digit.occ, digit.coeff * low), _Digit(low, digit.occ, digit.coeff)
 
 
 def _regroup(stream: list[_Digit], extents: Shape) -> list[list[_Digit]]:
@@ -235,16 +236,15 @@ def _regroup(stream: list[_Digit], extents: Shape) -> list[list[_Digit]]:
 
     The stream coalesces first: adjacent digits whose reads chain act as one
     contiguous run, so reshapes of contiguous data always stay affine and
-    only genuinely interleaved layouts can fail."""
-    queue = _coalesce(stream)
+    only genuinely interleaved layouts can fail.  A reshape keeps the element
+    count and no digit has extent 1, so each group fills exactly."""
+    queue = _coalesce(stream)[::-1]  # next digit last
     groups: list[list[_Digit]] = []
     for extent in extents:
         group: list[_Digit] = []
         acc = 1
         while acc < extent:
-            if not queue:
-                raise LoweringError("reshape regrouping exhausted digits")
-            digit = queue.pop(0)
+            digit = queue.pop()
             if acc * digit.extent <= extent:
                 group.append(digit)
                 acc *= digit.extent
@@ -263,15 +263,8 @@ def _regroup(stream: list[_Digit], extents: Shape) -> list[list[_Digit]]:
                 hi, lo = _split_digit(digit, head)
                 group.append(hi)
                 acc *= head
-                queue.insert(0, lo)
-        if acc != extent:
-            raise LoweringError(
-                f"reshape group reached extent {acc}, target was {extent}; "
-                f"access is not affine"
-            )
+                queue.append(lo)
         groups.append(group)
-    if queue:
-        raise LoweringError("reshape regrouping left digits unconsumed")
     return groups
 
 
@@ -283,7 +276,7 @@ def _build(expr: ExprNode, counter: itertools.count) -> _Build:
         stride = 1
         rev: list[list[_Digit]] = []
         for extent in reversed(expr.shape):
-            rev.append([_Digit(extent, {occ: stride})] if extent > 1 else [])
+            rev.append([_Digit(extent, occ, stride)] if extent > 1 else [])
             stride *= extent
         return _Build(list(reversed(rev)), LeafRead(buffer_name(expr.name), occ))
 
@@ -308,20 +301,19 @@ def _build(expr: ExprNode, counter: itertools.count) -> _Build:
 
 
 def _coalesce(digits: list[_Digit]) -> list[_Digit]:
-    """Merge adjacent digits whose coefficients chain for every read.
+    """Merge adjacent digits whose read coefficients chain.
 
-    Digits u (outer) and v (inner) merge when coeff_u == coeff_v * extent_v
-    for each leaf occurrence, both treated as 0 when absent.  The write side
-    always chains, because write coefficients are suffix products of the
-    digit extents by construction.
+    Digits u (outer) and v (inner) merge when they read the same leaf
+    occurrence and coeff_u == coeff_v * extent_v; digits of two reads never
+    chain, as neither coefficient is 0.  The write side always chains,
+    because write coefficients are suffix products of the digit extents.
     """
     merged = list(digits)
     k = 0
     while k + 1 < len(merged):
         u, v = merged[k], merged[k + 1]
-        occs = set(u.coeffs) | set(v.coeffs)
-        if all(u.coeffs.get(o, 0) == v.coeffs.get(o, 0) * v.extent for o in occs):
-            merged[k : k + 2] = [_Digit(u.extent * v.extent, dict(v.coeffs))]
+        if u.occ == v.occ and u.coeff == v.coeff * v.extent:
+            merged[k : k + 2] = [_Digit(u.extent * v.extent, v.occ, v.coeff)]
             if k > 0:
                 k -= 1  # the new digit may chain with its left neighbor
         else:
@@ -330,7 +322,9 @@ def _coalesce(digits: list[_Digit]) -> list[_Digit]:
 
 
 def _nontrivial_divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(2, n + 1) if n % d == 0)
+    """The divisors of n from 2 up, found in pairs (d, n // d) with d <= isqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return tuple(small[1:] + [n // d for d in reversed(small) if d * d != n])
 
 
 def buffer_name(leaf_name: str) -> str:
@@ -366,18 +360,19 @@ def lower(expr: ExprNode, procs: int = 1) -> LoopPlan:
     outer_extent = digits[0].extent if digits else 1
     if procs != 1:
         if outer_extent % procs != 0:
+            valid = _nontrivial_divisors(outer_extent)
             raise PartitionError(
                 f"procs {procs} does not divide the outer loop extent "
                 f"{outer_extent}; valid processor counts: "
-                f"{', '.join(map(str, _nontrivial_divisors(outer_extent))) or '1'}",
-                valid=_nontrivial_divisors(outer_extent),
+                f"{', '.join(map(str, valid)) or '1'}",
+                valid=valid,
             )
         if procs < outer_extent:
             hi, lo = _split_digit(digits[0], procs)
             digits[0:1] = [hi, lo]
 
     if not digits:
-        digits = [_Digit(1, {})]
+        digits = [_Digit(1, -1, 0)]
 
     names = [_loop_name(k) for k in range(len(digits))]
     loops = tuple(
@@ -397,9 +392,7 @@ def lower(expr: ExprNode, procs: int = 1) -> LoopPlan:
         if isinstance(body, Combine):
             return Combine(body.op, realize(body.left), realize(body.right))
         terms = tuple(
-            (name, digit.coeffs[body.offset])
-            for name, digit in zip(names, digits)
-            if digit.coeffs.get(body.offset, 0) != 0
+            (name, digit.coeff) for name, digit in zip(names, digits) if digit.occ == body.offset
         )
         return LeafRead(body.name, Affine(terms, 0))
 
@@ -568,7 +561,7 @@ def _body_from_obj(obj: dict, depth: int = 0) -> ScalarReadPlan:
 def plan_from_json(text: str) -> LoopPlan:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise PlanError(f"invalid plan JSON: {exc}") from exc
     except RecursionError:
         raise PlanError(

@@ -10,10 +10,17 @@ Grammar (whitespace-insensitive):
     intlist   := '[' ']' | '[' INT (',' INT)* ']'
     OP        := 'mul' | 'add' | 'sub' | 'div'
 
+Lexical rules: NAME is a letter or '_', then letters, digits or '_'; INT is
+a run of decimal digits (str.isdecimal, so '١' reads as 1, but '²' is no
+digit); whitespace is str.isspace.  Any other character is a ParseError that
+names it.  The tokenizer is one scan of one regular expression; each token
+keeps its offset, and only an error turns an offset into a line and column.
+
 NAME is a leaf bound in the caller's shape environment.  Syntax problems
 raise ParseError with line and column; semantic problems (bad permutation,
 reshape count mismatch, non-matrix kron operands) surface as ShapeError from
-node construction.
+node construction.  The calls are one table of constructors and argument
+kinds, read by one loop.
 
 Calls may nest at most exprs.MAX_NESTING deep, the limit every expression
 node enforces; deeper text is a ParseError that names its line and column.
@@ -21,67 +28,63 @@ node enforces; deeper text is a ParseError that names its line and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ParseError
 from .exprs import MAX_NESTING, OPS, ExprNode, Kron, Leaf, Outer, Reshape, TransposeG
 from .shapes import Shape
 
-_PUNCT = "()[],"
+# \s, \d and \w are str.isspace, str.isdecimal and str.isalnum-or-'_' over all
+# of Unicode.  A "name" run that starts with neither a letter nor '_' starts
+# with a numeric character such as '½', which the tokenizer rejects.  "char"
+# is \S, not '.', so that trailing whitespace makes no token.
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>\w+)|(?P<punct>[][(),])|(?P<char>\S))")
+
+# Each call's node constructor and the kinds of its arguments, in order.
+_CALLS = {
+    "outer": (Outer, ("op", "expr", "expr")),
+    "kron": (Kron, ("expr", "expr")),
+    "transpose": (TransposeG, ("ints", "expr")),
+    "reshape": (Reshape, ("ints", "expr")),
+}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name", "int", or one of the punctuation characters
+class _Token(NamedTuple):
+    kind: str  # "name", "int", "end", or the punctuation character itself
     text: str
-    line: int
-    column: int
+    pos: int  # offset into the parsed text
+
+
+def _error(message: str, text: str, pos: int) -> ParseError:
+    """A ParseError at the 1-based line and column of offset ``pos``."""
+    line_start = text.rfind("\n", 0, pos) + 1
+    return ParseError(message, text.count("\n", 0, line_start) + 1, pos - line_start + 1)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, column = 1, 1
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            column = 1
-            pos += 1
-            continue
-        if ch.isspace():
-            column += 1
-            pos += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, column))
-            column += 1
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            tokens.append(_Token("int", text[start:pos], line, column))
-            column += pos - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append(_Token("name", text[start:pos], line, column))
-            column += pos - start
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("end", "", line, column))
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        word, pos = match[kind], match.start(kind)
+        if kind == "punct":
+            kind = word
+        elif kind == "char" or kind == "name" and not (word[0].isalpha() or word[0] == "_"):
+            raise _error(f"unexpected character {word[0]!r}", text, pos)
+        tokens.append(_Token(kind, word, pos))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], shapes: dict[str, Shape]):
-        self.tokens = tokens
+    def __init__(self, text: str, shapes: dict[str, Shape]):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.shapes = shapes
+
+    def error(self, message: str, token: _Token) -> ParseError:
+        return _error(message, self.text, token.pos)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -89,11 +92,7 @@ class _Parser:
     def take(self, kind: str) -> _Token:
         token = self.tokens[self.pos]
         if token.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {token.text or 'end of input'!r}",
-                token.line,
-                token.column,
-            )
+            raise self.error(f"expected {kind!r}, found {token.text or 'end of input'!r}", token)
         self.pos += 1
         return token
 
@@ -102,72 +101,63 @@ class _Parser:
         token = self.take("name")
         word = token.text
         if self.peek().kind != "(":
-            if word in ("outer", "kron", "transpose", "reshape"):
-                raise ParseError(f"{word} needs an argument list", token.line, token.column)
+            if word in _CALLS:
+                raise self.error(f"{word} needs an argument list", token)
             if word not in self.shapes:
-                raise ParseError(f"unknown array name {word!r}", token.line, token.column)
+                raise self.error(f"unknown array name {word!r}", token)
             return Leaf(word, self.shapes[word])
         if depth == MAX_NESTING:
-            raise ParseError(
-                f"expression nests deeper than {MAX_NESTING} calls", token.line, token.column
+            raise self.error(f"expression nests deeper than {MAX_NESTING} calls", token)
+        if word not in _CALLS:
+            raise self.error(f"unknown function {word!r}", token)
+        build, kinds = _CALLS[word]
+        self.take("(")
+        args: list = []
+        for kind in kinds:
+            if args:
+                self.take(",")
+            if kind == "expr":
+                args.append(self.parse_expr(depth + 1))
+            elif kind == "ints":
+                args.append(self.parse_intlist())
+            else:
+                args.append(self.parse_op())
+        self.take(")")
+        return build(*args)
+
+    def parse_op(self) -> str:
+        token = self.take("name")
+        if token.text not in OPS:
+            raise self.error(
+                f"outer op must be one of {', '.join(OPS)}, found {token.text!r}", token
             )
-        if word == "outer":
-            self.take("(")
-            op_token = self.take("name")
-            if op_token.text not in OPS:
-                raise ParseError(
-                    f"outer op must be one of {', '.join(OPS)}, found {op_token.text!r}",
-                    op_token.line,
-                    op_token.column,
-                )
-            self.take(",")
-            left = self.parse_expr(depth + 1)
-            self.take(",")
-            right = self.parse_expr(depth + 1)
-            self.take(")")
-            return Outer(op_token.text, left, right)
-        if word == "kron":
-            self.take("(")
-            left = self.parse_expr(depth + 1)
-            self.take(",")
-            right = self.parse_expr(depth + 1)
-            self.take(")")
-            return Kron(left, right)
-        if word == "transpose":
-            self.take("(")
-            order = self.parse_intlist()
-            self.take(",")
-            child = self.parse_expr(depth + 1)
-            self.take(")")
-            return TransposeG(order, child)
-        if word == "reshape":
-            self.take("(")
-            extents = self.parse_intlist()
-            self.take(",")
-            child = self.parse_expr(depth + 1)
-            self.take(")")
-            return Reshape(extents, child)
-        raise ParseError(f"unknown function {word!r}", token.line, token.column)
+        return token.text
 
     def parse_intlist(self) -> tuple[int, ...]:
         self.take("[")
-        items: list[int] = []
         if self.peek().kind == "]":
             self.take("]")
             return ()
-        items.append(int(self.take("int").text))
+        items = [self.parse_int()]
         while self.peek().kind == ",":
             self.take(",")
-            items.append(int(self.take("int").text))
+            items.append(self.parse_int())
         self.take("]")
         return tuple(items)
+
+    def parse_int(self) -> int:
+        token = self.take("int")
+        try:
+            return int(token.text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise self.error(f"integer of {len(token.text)} digits is too long", token) from None
 
 
 def parse(text: str, shapes: dict[str, Shape]) -> ExprNode:
     """Parse expression text against a leaf-name to shape environment."""
-    parser = _Parser(_tokenize(text), shapes)
+    parser = _Parser(text, shapes)
     expr = parser.parse_expr()
     tail = parser.peek()
     if tail.kind != "end":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.line, tail.column)
+        raise parser.error(f"unexpected trailing input {tail.text!r}", tail)
     return expr
