@@ -19,6 +19,7 @@ from typing import Any
 
 import numpy as np
 
+from .canonical import render_json
 from .errors import BoundsError, DomainError, ShapeError
 from .shapes import (
     MultiIndex,
@@ -49,6 +50,15 @@ counters = OpCounters()
 # What json.loads makes of each JSON value; array data may hold only numbers.
 _JSON_NUMBERS = frozenset((int, float))
 _JSON_KINDS = {str: "string", bool: "boolean", list: "array", dict: "object", type(None): "null"}
+
+
+def _json_int(literal: str) -> int | float:
+    """A JSON integer; -0 reads as the float -0.0, which %.17g prints as -0."""
+    return -0.0 if literal == "-0" else int(literal)
+
+
+# Built once: json.loads with a hook would build a decoder on every call.
+_ARRAY_JSON = json.JSONDecoder(parse_int=_json_int)
 
 
 def _float64(data: Any) -> np.ndarray:
@@ -147,7 +157,7 @@ class DenseArray:
         """Parse {"shape": [...], "data": [...]} with row-major data: a flat
         list of JSON numbers, never strings, booleans or nested lists."""
         try:
-            doc = json.loads(text)
+            doc = _ARRAY_JSON.decode(text)
         except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
             raise ShapeError(f"invalid array JSON: {exc}") from exc
         if not isinstance(doc, dict) or "shape" not in doc or "data" not in doc:
@@ -165,9 +175,8 @@ class DenseArray:
         return cls(as_shape(shape), data)
 
     def to_json(self) -> str:
-        shape = list(self._shape)
-        data = [float(x) for x in self._buffer]
-        return json.dumps({"shape": shape, "data": data})
+        """The array as `moa eval` prints it, through canonical.render_json."""
+        return render_json({"shape": list(self._shape), "data": self._buffer.tolist()})
 
 
 def psi(index: Sequence[int], array: DenseArray) -> float | DenseArray:

@@ -16,14 +16,15 @@ MAX_BODY_DEPTH ops deep, checked without recursion when the plan is built.
 plan_to_json writes the plan through canonical.render_json, the writer the
 CLI prints with, and plan_from_json reads it back strictly.
 
-The algorithm tracks one "digit" per surviving unit of iteration.  A leaf
-axis starts as one digit carrying that axis's row-major stride into the
-leaf's buffer, so each digit is an extent plus one (leaf occurrence,
-coefficient) pair.  Outer concatenates digit groups, transpose permutes
-them, and reshape re-slices the digit stream into new axis groups,
-splitting a digit only when the split is exact.  An access that cannot be
-expressed affinely this way raises LoweringError, whose message always says
-"not affine".
+The algorithm walks the expression to one stream of "digits", the units of
+iteration in row-major order, each an extent plus one (leaf occurrence,
+coefficient) pair.  A leaf is one contiguous digit over its whole buffer and
+outer concatenates its operands' streams.  A reshape only relabels the
+row-major ravel, so it keeps its child's stream.  Only a transpose needs
+axes: it re-slices the stream into its child's axis groups, splitting a
+digit only when the split is exact, and concatenates the groups in
+permuted order.  A transpose that splits a reshape's axes across digits is
+not affine and raises LoweringError, whose message always says "not affine".
 
 After the walk, adjacent digits of the same read whose coefficients chain
 (outer coefficient equals inner coefficient times inner extent) coalesce
@@ -107,7 +108,8 @@ class LoopSpec:
                 f"loop {self.var}: bad range start={self.start} "
                 f"stop={self.stop} stride={self.stride}"
             )
-        expected = len(range(self.start, self.stop, self.stride))
+        # len(range(...)) would overflow a C ssize_t past 2**63 on plan JSON
+        expected = (self.stop - self.start + self.stride - 1) // self.stride
         if self.count != expected:
             raise PlanError(
                 f"loop {self.var}: count {self.count} does not match "
@@ -204,20 +206,12 @@ class LoopPlan:
 # --- symbolic digits ---------------------------------------------------------
 
 class _Digit(NamedTuple):
-    """One unit of iteration: an extent, the leaf occurrence whose axis it
-    came from (-1 for none) and its nonzero coefficient in that read's offset."""
+    """One unit of iteration: an extent, the leaf occurrence it reads (-1
+    for none) and its nonzero coefficient in that read's offset."""
 
     extent: int
     occ: int
     coeff: int
-
-
-@dataclass
-class _Build:
-    """Result of walking one expression node."""
-
-    axes: list[list[_Digit]]  # one digit group per output axis, 1-extents dropped
-    body: ScalarReadPlan  # each read's offset is its leaf occurrence for now
 
 
 def _split_digit(digit: _Digit, head: int) -> tuple[_Digit, _Digit]:
@@ -235,9 +229,9 @@ def _regroup(stream: list[_Digit], extents: Shape) -> list[list[_Digit]]:
     target axis extents, splitting digits when the split is exact.
 
     The stream coalesces first: adjacent digits whose reads chain act as one
-    contiguous run, so reshapes of contiguous data always stay affine and
-    only genuinely interleaved layouts can fail.  A reshape keeps the element
-    count and no digit has extent 1, so each group fills exactly."""
+    contiguous run, so only axes that cut across a reshape's digits can fail.
+    The extents hold the stream's element count and no digit has extent 1,
+    so each group fills exactly."""
     queue = _coalesce(stream)[::-1]  # next digit last
     groups: list[list[_Digit]] = []
     for extent in extents:
@@ -268,31 +262,27 @@ def _regroup(stream: list[_Digit], extents: Shape) -> list[list[_Digit]]:
     return groups
 
 
-def _build(expr: ExprNode, counter: itertools.count) -> _Build:
-    """Walk the expression; return digit groups and a body whose reads carry
-    their leaf occurrence as the offset until lower knows the digits."""
+def _build(expr: ExprNode, counter: itertools.count) -> tuple[list[_Digit], ScalarReadPlan]:
+    """Walk the expression; return its digit stream, outermost first, and a
+    body whose reads carry their leaf occurrence as the offset until lower
+    knows the digits."""
     if isinstance(expr, Leaf):
         occ = next(counter)
-        stride = 1
-        rev: list[list[_Digit]] = []
-        for extent in reversed(expr.shape):
-            rev.append([_Digit(extent, occ, stride)] if extent > 1 else [])
-            stride *= extent
-        return _Build(list(reversed(rev)), LeafRead(buffer_name(expr.name), occ))
+        size = pi(expr.shape)
+        return ([_Digit(size, occ, 1)] if size > 1 else []), LeafRead(buffer_name(expr.name), occ)
 
     if isinstance(expr, Outer):
-        left = _build(expr.left, counter)
-        right = _build(expr.right, counter)
-        return _Build(left.axes + right.axes, Combine(expr.op, left.body, right.body))
+        left, left_body = _build(expr.left, counter)
+        right, right_body = _build(expr.right, counter)
+        return left + right, Combine(expr.op, left_body, right_body)
 
     if isinstance(expr, TransposeG):
-        child = _build(expr.child, counter)
-        return _Build([child.axes[k] for k in expr.perm], child.body)
+        stream, body = _build(expr.child, counter)
+        groups = _regroup(stream, expr.child.shape)
+        return [digit for k in expr.perm for digit in groups[k]], body
 
     if isinstance(expr, Reshape):
-        child = _build(expr.child, counter)
-        stream = [digit for group in child.axes for digit in group]
-        return _Build(_regroup(stream, expr.shape), child.body)
+        return _build(expr.child, counter)
 
     if isinstance(expr, Kron):
         return _build(expr.desugared, counter)
@@ -354,8 +344,8 @@ def lower(expr: ExprNode, procs: int = 1) -> LoopPlan:
     if len({buffer_name(name) for name in shapes}) != len(shapes):
         raise LoweringError(f"leaf names {sorted(shapes)} collide under buffer naming")
 
-    built = _build(expr, itertools.count())
-    digits = _coalesce([digit for group in built.axes for digit in group])
+    stream, body = _build(expr, itertools.count())
+    digits = _coalesce(stream)
 
     outer_extent = digits[0].extent if digits else 1
     if procs != 1:
@@ -401,7 +391,7 @@ def lower(expr: ExprNode, procs: int = 1) -> LoopPlan:
         out_shape=out_shape,
         loops=loops,
         write=write,
-        body=realize(built.body),
+        body=realize(body),
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .arrays import DenseArray
 from .dyadics import dyad, projector_parallel, spectral_reconstruct
-from .errors import LoweringError, PartitionError
+from .errors import PartitionError
 from .exprs import (
     ExprNode,
     Kron,
@@ -176,19 +176,7 @@ def suite_onf(seed: int = 0) -> SuiteResult:
     for expr in builtin_grid():
         expected = materialize_stepwise(expr, env)
         buffers = flatten_operands(env)
-        try:
-            base = lower(expr, procs=1)
-        except LoweringError:
-            # not every access pattern is affine; the contract is a clean
-            # rejection while per-element evaluation still works
-            index = unravel_rowmajor(0, expr.shape)
-            got = eval_element(expr, index, env)
-            result.check(
-                got == float(expected.reshape(-1)[0]),
-                f"non-affine {expr!r} also failed element evaluation",
-            )
-            continue
-        outer_extent = base.loops[0].count
+        outer_extent = lower(expr, procs=1).loops[0].count
         valid = [1] + [d for d in range(2, outer_extent + 1) if outer_extent % d == 0]
         for procs in valid:
             plan = lower(expr, procs=procs)

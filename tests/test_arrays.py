@@ -14,6 +14,7 @@ from moa import (
     reshape,
 )
 from moa.arrays import element
+from moa.cli import main
 
 
 def test_construction_copies_input():
@@ -66,6 +67,16 @@ def test_json_roundtrip():
     arr = DenseArray((2, 2), [1.5, 2.0, 3.0, 4.0])
     again = DenseArray.from_json(arr.to_json())
     assert again == arr
+
+
+def test_to_json_round_trips_exactly_and_prints_as_eval_does(tmp_path, capsys):
+    arr = DenseArray((2, 2), [-0.0, 5e-324, 0.1, 1e308])
+    again = DenseArray.from_json(arr.to_json())
+    assert again.to_numpy().tobytes() == arr.to_numpy().tobytes()
+    path = tmp_path / "a.json"
+    path.write_text(arr.to_json())
+    assert main(["eval", "--expr", "A", "--array", f"A={path}"]) == 0
+    assert capsys.readouterr().out == arr.to_json() + "\n"
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ parse, and the digit algebra of lower.
 The pinned rows hold the exact message, line and column of every kind of
 ParseError.  The properties check that any text over the grammar's words,
 whitespace and a few Unicode digits and letters parses or raises a MoaError,
-and that every LoweringError of a random tree says the access is not affine.
+and that every LoweringError of a random tree says the access is not affine
+and comes from a transpose over a reshape.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_lowering import assert_runs_like_materialize
 from test_properties import MAX_DEPTH, leaf_shapes, trees
 
 from moa import (
+    DenseArray,
+    Kron,
     Leaf,
     LoweringError,
     MoaError,
@@ -128,12 +132,37 @@ def test_every_lowering_error_says_not_affine(data):
         assert "not affine" in str(exc)
 
 
-def test_an_interleaved_reshape_is_not_affine():
-    # the (2, 3) transpose of a (3, 2) leaf, regrouped as (3, 2): the first
-    # row of 3 would need a third of the column digit
-    expr = Reshape((3, 2), TransposeG((1, 0), Leaf("A", (3, 2))))
-    with pytest.raises(LoweringError, match="not affine"):
+def transposes_a_reshape(expr, below_transpose: bool = False) -> bool:
+    """Whether a Reshape lies below a TransposeG or a Kron."""
+    if isinstance(expr, Leaf):
+        return False
+    if isinstance(expr, Reshape):
+        return below_transpose or transposes_a_reshape(expr.child)
+    below_transpose = below_transpose or isinstance(expr, (TransposeG, Kron))
+    children = [expr.child] if isinstance(expr, TransposeG) else [expr.left, expr.right]
+    return any(transposes_a_reshape(child, below_transpose) for child in children)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(leaf_shapes().flatmap(lambda shapes: trees(shapes, MAX_DEPTH)))
+def test_only_a_transpose_over_a_reshape_is_not_affine(expr):
+    try:
         lower(expr)
+    except LoweringError as exc:
+        assert "not affine" in str(exc)
+        assert transposes_a_reshape(expr), expr
+
+
+def test_an_interleaved_reshape_is_affine_until_a_transpose_splits_it():
+    # the (2, 3) transpose of a (3, 2) leaf, reshaped to (3, 2), lowers as its
+    # child; transposing it again would need the first row of 3 to take a
+    # third of the column digit
+    interleaved = Reshape((3, 2), TransposeG((1, 0), Leaf("A", (3, 2))))
+    a = DenseArray((3, 2), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    assert_runs_like_materialize(interleaved, {"A": a})
+    for expr in (TransposeG((1, 0), interleaved), Kron(interleaved, Leaf("B", (2, 2)))):
+        with pytest.raises(LoweringError, match="not affine"):
+            lower(expr)
 
 
 def test_partition_error_lists_every_divisor_of_a_huge_extent():

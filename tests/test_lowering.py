@@ -28,6 +28,7 @@ from moa import (
     plan_from_json,
     plan_to_json,
 )
+from moa.verify import builtin_env, builtin_grid
 
 
 def double_outer():
@@ -135,11 +136,34 @@ def test_contiguous_reshape_lowers():
     assert out.shape == (3, 2)
 
 
-def test_interleaved_reshape_is_rejected():
+def assert_runs_like_materialize(expr, env):
+    """The plan at every valid procs count, run in order and threaded, is
+    bit-identical to materialize."""
+    want = materialize(expr, env).to_numpy().tobytes()
+    buffers = flatten_operands(env)
+    outer = lower(expr, procs=1).loops[0].count
+    for procs in [d for d in range(1, outer + 1) if outer % d == 0]:
+        plan = lower(expr, procs=procs)
+        for parallel in (False, True):
+            assert execute_plan(plan, buffers, parallel).to_numpy().tobytes() == want
+
+
+def test_interleaved_reshape_lowers_and_a_transpose_across_it_is_rejected():
+    # a reshape keeps the digit stream; only a transpose that splits the
+    # reshape's axes across digits is not affine
     c = Leaf("C", (2, 3))
     expr = Reshape((2, 3, 2, 3), TransposeG((0, 2, 1, 3), Outer("add", c, c)))
-    with pytest.raises(LoweringError):
-        lower(expr, procs=1)
+    assert_runs_like_materialize(expr, {"C": DenseArray((2, 3), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])})
+    interleaved = Reshape((3, 2), TransposeG((1, 0), Leaf("A", (3, 2))))
+    for rejected in (TransposeG((1, 0), interleaved), Kron(interleaved, Leaf("B", (2, 2)))):
+        with pytest.raises(LoweringError, match="not affine"):
+            lower(rejected, procs=1)
+
+
+def test_every_grid_expression_lowers_at_every_valid_procs_count():
+    env = builtin_env(0)
+    for expr in builtin_grid():
+        assert_runs_like_materialize(expr, env)
 
 
 def test_transposed_layout_still_lowers(mat2, mat3):

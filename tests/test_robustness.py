@@ -27,6 +27,7 @@ from moa import (
     PlanError,
     Reshape,
     ShapeError,
+    SizeError,
     TransposeG,
     execute_plan,
     flatten_operands,
@@ -189,6 +190,21 @@ def test_plan_from_json_rejects_loose_values(mutate, value):
     assert plan_from_json(json.dumps(doc)) == lower(double_outer(), procs=4)
     mutate(doc, value)
     with pytest.raises(PlanError):
+        plan_from_json(json.dumps(doc))
+
+
+def test_loop_bounds_past_a_machine_word_are_plan_errors():
+    huge = 10**30
+    assert LoopSpec("p", 0, huge, 1, huge).count == huge
+    assert LoopSpec("p", 3, huge, 7, (huge - 3 + 6) // 7).count == (huge - 3 + 6) // 7
+    with pytest.raises(PlanError, match="does not match"):
+        LoopSpec("p", 0, huge, 1, huge - 1)
+    doc = plan_doc()
+    doc["loops"][0]["stop"] = doc["loops"][0]["count"] = huge
+    with pytest.raises(PlanError, match="iterations"):
+        plan_from_json(json.dumps(doc))
+    doc["out_shape"][0] = huge
+    with pytest.raises(SizeError):
         plan_from_json(json.dumps(doc))
 
 
