@@ -29,7 +29,7 @@ import sys
 from .arrays import DenseArray
 from .canonical import render_json
 from .errors import MoaError, ParseError
-from .exprs import Combine, LeafRead, ScalarReadPlan, eval_element, materialize, psi_reduce
+from .exprs import LeafRead, eval_element, fold_plan, leaves, materialize, op_to_obj, psi_reduce
 from .lowering import execute_plan, flatten_operands, lower, plan_to_json
 from .parser import parse
 from .shapes import Shape
@@ -75,14 +75,8 @@ def _array_to_obj(array: DenseArray) -> dict:
     return {"shape": list(array.shape), "data": array.data}
 
 
-def _read_plan_to_obj(plan: ScalarReadPlan) -> dict:
-    if isinstance(plan, LeafRead):
-        return {"array": plan.name, "offset": plan.offset}
-    assert isinstance(plan, Combine)
-    return {
-        "op": plan.op,
-        "args": [_read_plan_to_obj(plan.left), _read_plan_to_obj(plan.right)],
-    }
+def _read_to_obj(read: LeafRead) -> dict:
+    return {"array": read.name, "offset": read.offset}
 
 
 def cmd_shape(args: argparse.Namespace) -> int:
@@ -107,7 +101,7 @@ def cmd_dnf(args: argparse.Namespace) -> int:
     env = _parse_bindings(args.array)
     expr = parse(args.expr, {name: arr.shape for name, arr in env.items()})
     plan = psi_reduce(_parse_index(args.index), expr)
-    print(render_json(_read_plan_to_obj(plan)))
+    print(render_json(fold_plan(plan, _read_to_obj, op_to_obj)))
     return 0
 
 
@@ -118,7 +112,9 @@ def cmd_onf(args: argparse.Namespace) -> int:
     expr = parse(args.expr, {name: arr.shape for name, arr in env.items()})
     plan = lower(expr, procs=args.procs)
     if args.run:
-        result = execute_plan(plan, flatten_operands(env), parallel=args.parallel)
+        # bindings the expression never reads may collide under buffer naming
+        operands = {leaf.name: env[leaf.name] for leaf in leaves(expr)}
+        result = execute_plan(plan, flatten_operands(operands), parallel=args.parallel)
         print(render_json(_array_to_obj(result)))
     else:
         print(plan_to_json(plan))

@@ -21,16 +21,16 @@ tree whose leaves are LeafRead flat reads of the input buffers and whose
 interior nodes are Combine scalar operations.  Evaluating that plan touches
 exactly one element per Leaf read, no matter how deep the expression is.
 materialize is the same rewrite applied to every index at once: the index
-components are int64 arrays, each LeafRead offset is an array of flat
-offsets, and each leaf occurrence is one gather.
+components are an open grid of int64 arrays, so each LeafRead offset spans
+only its leaf's axes, and each leaf occurrence is one gather.
 
 The same read/op tree is the body of an ONF loop plan (see lowering): there a
 LeafRead's offset is an Affine function of the loop variables rather than an
 int, so the DNF and the ONF are one IR at two stages of binding.  leaves()
 walks the leaf occurrences of either kind of tree from left to right, and
-fold_plan evaluates either kind: evaluate_plan folds counted scalar reads,
-materialize folds gathered arrays, lowering.execute_plan folds strided array
-views.
+fold_plan is the one recursive walk of either kind: it evaluates with apply_op
+(evaluate_plan, materialize, lowering.execute_plan), rebuilds with Combine
+and writes JSON with op_to_obj.
 """
 
 from __future__ import annotations
@@ -290,12 +290,18 @@ def _check_env(expr: ExprNode, env: dict[str, DenseArray]) -> None:
             )
 
 
-def fold_plan(plan: ScalarReadPlan, read: Callable[[LeafRead], Any]) -> Any:
-    """Evaluate a read/op tree: ``read`` gives each leaf's value, and apply_op
-    combines values, so one fold serves scalar reads and array views alike."""
+def fold_plan(plan: ScalarReadPlan, read: Callable, combine: Callable = apply_op) -> Any:
+    """Fold a read/op tree: ``read`` maps each leaf read, and ``combine`` maps
+    each op with its folded operands; apply_op evaluates them."""
     if isinstance(plan, LeafRead):
         return read(plan)
-    return apply_op(plan.op, fold_plan(plan.left, read), fold_plan(plan.right, read))
+    left, right = fold_plan(plan.left, read, combine), fold_plan(plan.right, read, combine)
+    return combine(plan.op, left, right)
+
+
+def op_to_obj(op: str, left: Any, right: Any) -> dict:
+    """The JSON object of one op node, for fold_plan over converted operands."""
+    return {"op": op, "args": [left, right]}
 
 
 def evaluate_plan(plan: ScalarReadPlan, env: dict[str, DenseArray]) -> float:
@@ -322,22 +328,23 @@ def eval_element(
 
 def materialize(expr: ExprNode, env: dict[str, DenseArray]) -> DenseArray:
     """Evaluate the whole expression: the psi rewrite of every index at once,
-    with int64 arrays as index components and one counted gather per Leaf
+    over an open grid of int64 index arrays, with one counted gather per Leaf
     occurrence, combined by the same fold as a single element.  An output
     too large for memory is an EvaluationError that names its element count."""
     _check_env(expr, env)
     total = pi(expr.shape)
+    if total == 0:  # no element is computed, so not even a zero divisor is read
+        return DenseArray(expr.shape, [])
 
-    def gather(leaf: LeafRead) -> np.ndarray:
+    def gather(leaf: LeafRead) -> Any:
         counters.scalar_reads += total
-        # a rank-0 leaf reads offset 0 for each element (for none if total is 0)
-        return np.broadcast_to(env[leaf.name]._buffer[leaf.offset], (total,))
+        return env[leaf.name]._buffer[leaf.offset]
 
     try:
-        index = unravel_unchecked(np.arange(total, dtype=np.int64), expr.shape)
+        index = np.indices(expr.shape, dtype=np.int64, sparse=True)
         with np.errstate(over="ignore", invalid="ignore"):  # DenseArray rejects inf and nan
             values = fold_plan(_psi(index, expr), gather)
-        return DenseArray(expr.shape, values)
+        return DenseArray(expr.shape, np.broadcast_to(values, expr.shape))
     except MemoryError:
         raise EvaluationError(
             f"expression output of {total} elements does not fit in memory"

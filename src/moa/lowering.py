@@ -63,8 +63,9 @@ from .exprs import (
     TransposeG,
     fold_plan,
     leaves,
+    op_to_obj,
 )
-from .shapes import Shape, as_shape, pi
+from .shapes import Shape, as_shape, pi, row_major_strides
 
 _LOOP_NAMES = "pqrstuvw"
 
@@ -224,9 +225,9 @@ def _split_digit(digit: _Digit, head: int) -> tuple[_Digit, _Digit]:
     return _Digit(head, digit.occ, digit.coeff * low), _Digit(low, digit.occ, digit.coeff)
 
 
-def _regroup(stream: list[_Digit], extents: Shape) -> list[list[_Digit]]:
-    """Re-slice a digit stream into groups whose extents multiply to the
-    target axis extents, splitting digits when the split is exact.
+def _regroup(stream: list[_Digit], transpose: TransposeG) -> list[list[_Digit]]:
+    """Re-slice a digit stream into groups whose extents multiply to the axis
+    extents of the transpose's child, splitting digits when the split is exact.
 
     The stream coalesces first: adjacent digits whose reads chain act as one
     contiguous run, so only axes that cut across a reshape's digits can fail.
@@ -234,7 +235,8 @@ def _regroup(stream: list[_Digit], extents: Shape) -> list[list[_Digit]]:
     so each group fills exactly."""
     queue = _coalesce(stream)[::-1]  # next digit last
     groups: list[list[_Digit]] = []
-    for extent in extents:
+    perm = list(transpose.perm)  # names the transpose in errors
+    for extent in transpose.child.shape:
         group: list[_Digit] = []
         acc = 1
         while acc < extent:
@@ -246,13 +248,13 @@ def _regroup(stream: list[_Digit], extents: Shape) -> list[list[_Digit]]:
                 head, rem = divmod(extent, acc)
                 if rem != 0:
                     raise LoweringError(
-                        f"reshape to extent {extent} is not affine over the "
-                        f"underlying digit radices"
+                        f"transpose {perm} cannot take an axis of extent {extent}: "
+                        f"its leading digits span {acc}; access is not affine"
                     )
                 if digit.extent % head != 0:
                     raise LoweringError(
-                        f"reshape needs to split a digit of extent {digit.extent} "
-                        f"by {head}, which is not exact; access is not affine"
+                        f"transpose {perm} cannot take an axis of extent {extent}: a digit "
+                        f"of extent {digit.extent} does not split by {head}; access is not affine"
                     )
                 hi, lo = _split_digit(digit, head)
                 group.append(hi)
@@ -278,7 +280,7 @@ def _build(expr: ExprNode, counter: itertools.count) -> tuple[list[_Digit], Scal
 
     if isinstance(expr, TransposeG):
         stream, body = _build(expr.child, counter)
-        groups = _regroup(stream, expr.child.shape)
+        groups = _regroup(stream, expr)
         return [digit for k in expr.perm for digit in groups[k]], body
 
     if isinstance(expr, Reshape):
@@ -370,28 +372,21 @@ def lower(expr: ExprNode, procs: int = 1) -> LoopPlan:
         for name, d in zip(names, digits)
     )
 
-    suffix = [1] * len(digits)
-    for k in range(len(digits) - 2, -1, -1):
-        suffix[k] = suffix[k + 1] * digits[k + 1].extent
-    write = FlatWrite(
-        "out",
-        Affine(tuple((names[k], suffix[k]) for k in range(len(digits))), 0),
-    )
+    strides = row_major_strides(tuple(d.extent for d in digits))
+    write = FlatWrite("out", Affine(tuple(zip(names, strides)), 0))
 
-    def realize(body: ScalarReadPlan) -> ScalarReadPlan:
-        if isinstance(body, Combine):
-            return Combine(body.op, realize(body.left), realize(body.right))
+    def realize(read: LeafRead) -> LeafRead:
         terms = tuple(
-            (name, digit.coeff) for name, digit in zip(names, digits) if digit.occ == body.offset
+            (name, digit.coeff) for name, digit in zip(names, digits) if digit.occ == read.offset
         )
-        return LeafRead(body.name, Affine(terms, 0))
+        return LeafRead(read.name, Affine(terms, 0))
 
     return LoopPlan(
         procs=procs,
         out_shape=out_shape,
         loops=loops,
         write=write,
-        body=realize(body),
+        body=fold_plan(body, realize, Combine),
     )
 
 
@@ -475,10 +470,8 @@ def _affine_to_obj(affine: Affine) -> dict:
     }
 
 
-def _body_to_obj(body: ScalarReadPlan) -> dict:
-    if isinstance(body, LeafRead):
-        return {"buffer": body.name, "offset": _affine_to_obj(body.offset)}
-    return {"op": body.op, "args": [_body_to_obj(body.left), _body_to_obj(body.right)]}
+def _read_to_obj(read: LeafRead) -> dict:
+    return {"buffer": read.name, "offset": _affine_to_obj(read.offset)}
 
 
 def plan_to_json(plan: LoopPlan) -> str:
@@ -502,7 +495,7 @@ def plan_to_json(plan: LoopPlan) -> str:
                 "buffer": plan.write.buffer,
                 "offset": _affine_to_obj(plan.write.offset),
             },
-            "expr": _body_to_obj(plan.body),
+            "expr": fold_plan(plan.body, _read_to_obj, op_to_obj),
         },
     }
     return render_json(doc)

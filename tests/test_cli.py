@@ -124,6 +124,21 @@ def test_onf_run(array_files, capsys):
     assert doc["data"] == list(materialize(expr, arrays).data)
 
 
+def test_an_unused_binding_that_collides_under_buffer_naming_is_ignored(array_files, capsys):
+    # A and a both name buffer avec, but the expression reads only A
+    paths, _ = array_files
+    bindings = ["--array", f"A={paths['A']}", "--array", f"a={paths['A']}"]
+    printed = []
+    for command in (["eval"], ["onf", "--run"], ["onf", "--procs", "2", "--run", "--parallel"]):
+        assert main([command[0], "--expr", "outer(mul, A, A)", *bindings, *command[1:]]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0].err == ""
+    assert printed[1:] == printed[:1] * 2
+    assert main(["onf", "--expr", "outer(mul, A, A)", *bindings]) == 0
+    assert main(["onf", "--expr", "outer(mul, A, a)", *bindings]) == 3
+    assert "collide under buffer naming" in capsys.readouterr().err
+
+
 def test_onf_partition_error_exit_code(array_files, capsys):
     paths, _ = array_files
     code = main(

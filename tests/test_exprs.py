@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,21 @@ def test_materialize_scalar():
     out = materialize(Leaf("S", ()), {"S": scalar})
     assert out.shape == ()
     assert out.data == (6.0,)
+
+
+def test_materialize_of_an_outer_chain_peaks_under_four_outputs():
+    # the open index grid keeps each leaf's offsets to the axes it reads, so
+    # only the combined values and the result span the whole output
+    rng = np.random.default_rng(0)
+    env = {
+        "A": DenseArray.from_numpy(rng.standard_normal((4, 4))),
+        "B": DenseArray.from_numpy(rng.standard_normal((6, 6))),
+    }
+    a, b = Leaf("A", (4, 4)), Leaf("B", (6, 6))
+    tracemalloc.start()
+    try:
+        out = materialize(Outer("mul", Outer("mul", a, b), a), env)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * out.size * 8

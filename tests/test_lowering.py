@@ -160,6 +160,27 @@ def test_interleaved_reshape_lowers_and_a_transpose_across_it_is_rejected():
             lower(rejected, procs=1)
 
 
+def test_a_transpose_across_a_reshape_is_named_with_the_axis_it_cannot_take():
+    a = Leaf("A", (3, 2))
+    interleaved = Reshape((3, 2), TransposeG((1, 0), a))
+    split = Reshape((4, 3), Outer("mul", TransposeG((1, 0), a), Leaf("B", (2,))))
+    for rejected, message in [
+        (
+            TransposeG((1, 0), interleaved),
+            "transpose [1, 0] cannot take an axis of extent 3: its leading digits "
+            "span 2; access is not affine",
+        ),
+        (
+            TransposeG((1, 0), split),
+            "transpose [1, 0] cannot take an axis of extent 4: a digit of extent 3 "
+            "does not split by 2; access is not affine",
+        ),
+    ]:
+        with pytest.raises(LoweringError) as info:
+            lower(rejected, procs=1)
+        assert str(info.value) == message
+
+
 def test_every_grid_expression_lowers_at_every_valid_procs_count():
     env = builtin_env(0)
     for expr in builtin_grid():
