@@ -21,8 +21,8 @@ tree whose leaves are LeafRead flat reads of the input buffers and whose
 interior nodes are Combine scalar operations.  Evaluating that plan touches
 exactly one element per Leaf read, no matter how deep the expression is.
 materialize is the same rewrite applied to every index at once: the index
-components are an open grid of int64 arrays, so each LeafRead offset spans
-only its leaf's axes, and each leaf occurrence is one gather.
+components are an open grid of int64 arrays (0 on an extent-1 axis), so each
+LeafRead offset spans only its leaf's axes; each leaf occurrence is one gather.
 
 The same read/op tree is the body of an ONF loop plan (see lowering): there a
 LeafRead's offset is an Affine function of the loop variables rather than an
@@ -247,7 +247,7 @@ def psi_reduce(index: MultiIndex, expr: ExprNode) -> ScalarReadPlan:
 
 
 def _psi(index: tuple, expr: ExprNode) -> ScalarReadPlan:
-    """Psi rewrite of an in-range index: components are ints or int64 arrays."""
+    """Psi rewrite of an in-range index of ints or broadcasting int64 arrays."""
     if isinstance(expr, Leaf):
         return LeafRead(expr.name, ravel_unchecked(index, expr.shape))
     if isinstance(expr, Outer):
@@ -340,11 +340,14 @@ def materialize(expr: ExprNode, env: dict[str, DenseArray]) -> DenseArray:
         counters.scalar_reads += total
         return env[leaf.name]._buffer[leaf.offset]
 
+    # extent-1 axes take the int 0, so no array outgrows numpy's 64 axes
+    extents = [extent for extent in expr.shape if extent > 1]
     try:
-        index = np.indices(expr.shape, dtype=np.int64, sparse=True)
+        grid = iter(np.indices(extents, dtype=np.int64, sparse=True))
+        index = tuple(next(grid) if extent > 1 else 0 for extent in expr.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # DenseArray rejects inf and nan
             values = fold_plan(_psi(index, expr), gather)
-        return DenseArray(expr.shape, np.broadcast_to(values, expr.shape))
+        return DenseArray(expr.shape, np.broadcast_to(values, extents))
     except MemoryError:
         raise EvaluationError(
             f"expression output of {total} elements does not fit in memory"

@@ -92,7 +92,7 @@ def check_bounds(index: Sequence[int], shape: Sequence[int]) -> None:
 
 
 def ravel_unchecked(index, shape: Sequence[int]):
-    """Row-major Horner ravel of in-range ints, or of int64 arrays of one shape."""
+    """Row-major Horner ravel of in-range ints or broadcasting int64 arrays."""
     offset = 0
     for component, extent in zip(index, shape):
         offset = offset * extent + component

@@ -139,6 +139,24 @@ def test_an_unused_binding_that_collides_under_buffer_naming_is_ignored(array_fi
     assert "collide under buffer naming" in capsys.readouterr().err
 
 
+def test_eval_beyond_numpy_rank_limit(tmp_path, capsys):
+    # a rank-71 outer chain of (1,) leaves: past numpy's 64 axes, within nesting
+    values = {"A": 1.5, "B": -2.0}
+    bindings = []
+    for name, value in values.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(DenseArray((1,), [value]).to_json())
+        bindings += ["--array", f"{name}={path}"]
+    text, value = "A", 1.5
+    for k in range(1, 71):
+        op, name = ("mul" if k % 3 else "add"), ("B" if k % 2 else "A")
+        text = f"outer({op}, {text}, {name})"
+        value = value * values[name] if op == "mul" else value + values[name]
+    assert main(["eval", "--expr", text, *bindings]) == 0
+    assert json.loads(capsys.readouterr().out) == {"shape": [1] * 71, "data": [value]}
+    assert main(["eval", "--expr", text, "--index", ",".join("0" * 71), *bindings]) == 0
+    assert float(capsys.readouterr().out) == value
+
 def test_onf_partition_error_exit_code(array_files, capsys):
     paths, _ = array_files
     code = main(

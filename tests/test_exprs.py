@@ -22,6 +22,7 @@ from moa import (
     materialize,
     psi,
     psi_reduce,
+    transpose_general,
 )
 
 
@@ -147,13 +148,14 @@ def test_materialize_scalar():
 
 def test_materialize_of_an_outer_chain_peaks_under_four_outputs():
     # the open index grid keeps each leaf's offsets to the axes it reads, so
-    # only the combined values and the result span the whole output
+    # only the combined values and the result span the whole output; at
+    # 147,456 elements numpy's fixed ufunc buffer is a small part of the peak
     rng = np.random.default_rng(0)
     env = {
         "A": DenseArray.from_numpy(rng.standard_normal((4, 4))),
-        "B": DenseArray.from_numpy(rng.standard_normal((6, 6))),
+        "B": DenseArray.from_numpy(rng.standard_normal((24, 24))),
     }
-    a, b = Leaf("A", (4, 4)), Leaf("B", (6, 6))
+    a, b = Leaf("A", (4, 4)), Leaf("B", (24, 24))
     tracemalloc.start()
     try:
         out = materialize(Outer("mul", Outer("mul", a, b), a), env)
@@ -161,3 +163,24 @@ def test_materialize_of_an_outer_chain_peaks_under_four_outputs():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * out.size * 8
+
+
+def test_materialize_beyond_numpy_rank_limit():
+    # numpy arrays stop at rank 64; DenseArray keeps a flat buffer of any rank
+    env = {"A": DenseArray((1,), [1.5]), "B": DenseArray((1,), [-2.0])}
+    expr, value = Leaf("A", (1,)), 1.5
+    for k in range(1, 71):
+        op, name = ("mul" if k % 3 else "add"), ("B" if k % 2 else "A")
+        expr = Outer(op, expr, Leaf(name, (1,)))
+        value = apply_op(op, value, env[name].data[0])
+    out = materialize(expr, env)
+    assert out.shape == (1,) * 71
+    assert out.data == (value,)
+    assert eval_element(expr, (0,) * 71, env) == value
+
+
+def test_transpose_general_beyond_numpy_rank_limit():
+    shape = (2,) + (1,) * 63 + (3,)
+    out = transpose_general(tuple(range(64, -1, -1)), DenseArray(shape, range(6)))
+    assert out.shape == shape[::-1]
+    assert out.data == (0.0, 3.0, 1.0, 4.0, 2.0, 5.0)
