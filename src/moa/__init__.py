@@ -4,7 +4,13 @@ Arrays are shapes plus row-major buffers.  Expressions over named arrays
 (outer products, axis permutations, reshapes, Kronecker products) normalize
 to per-element read plans and lower to affine loop nests partitioned over
 virtual processors, without ever materializing intermediates.
+
+The names from verify, dyadics, kron and permute load with their module on
+first access (PEP 562), so `import moa` and the CLI, which never uses them,
+do not pay for compiling them.
 """
+
+import importlib
 
 from .arrays import (
     DenseArray,
@@ -15,7 +21,6 @@ from .arrays import (
     psi,
     reshape,
 )
-from .dyadics import dyad, projector_parallel, spectral_reconstruct
 from .errors import (
     BoundsError,
     DomainError,
@@ -48,7 +53,6 @@ from .exprs import (
     materialize,
     psi_reduce,
 )
-from .kron import kron_desugar, kron_entry, multi_kron
 from .lowering import (
     Affine,
     FlatWrite,
@@ -61,7 +65,6 @@ from .lowering import (
     plan_to_json,
 )
 from .parser import parse
-from .permute import transpose_general, transpose_matrix
 from .shapes import (
     concat,
     gradeup,
@@ -70,7 +73,34 @@ from .shapes import (
     select,
     unravel_rowmajor,
 )
-from .verify import builtin_env, builtin_grid, materialize_stepwise, run_suites
+
+# name -> the module that defines it, imported on first access
+_LAZY = {
+    "builtin_env": "verify",
+    "builtin_grid": "verify",
+    "materialize_stepwise": "verify",
+    "run_suites": "verify",
+    "dyad": "dyadics",
+    "projector_parallel": "dyadics",
+    "spectral_reconstruct": "dyadics",
+    "kron_desugar": "kron",
+    "kron_entry": "kron",
+    "multi_kron": "kron",
+    "transpose_general": "permute",
+    "transpose_matrix": "permute",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + _LAZY[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 # An ONF loop body is the DNF read/op IR with Affine offsets.
 FlatRead = LeafRead

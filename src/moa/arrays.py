@@ -176,7 +176,7 @@ class DenseArray:
 
     def to_json(self) -> str:
         """The array as `moa eval` prints it, through canonical.render_json."""
-        return render_json({"shape": list(self._shape), "data": self._buffer.tolist()})
+        return render_json({"shape": list(self._shape), "data": self._buffer})
 
 
 def psi(index: Sequence[int], array: DenseArray) -> float | DenseArray:

@@ -33,10 +33,12 @@ from .exprs import LeafRead, eval_element, fold_plan, leaves, materialize, op_to
 from .lowering import execute_plan, flatten_operands, lower, plan_to_json
 from .parser import parse
 from .shapes import Shape
-from .verify import SUITES, run_suites
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
+# verify.SUITES in order; the parser names them without importing verify,
+# which only cmd_verify needs.
+SUITE_NAMES = ("dnf", "permute", "onf", "dyadics")
 
 
 def format_shape(shape: Shape) -> str:
@@ -72,7 +74,8 @@ class _Usage(Exception):
 
 
 def _array_to_obj(array: DenseArray) -> dict:
-    return {"shape": list(array.shape), "data": array.data}
+    # the read-only flat buffer, which render_json writes as a float list
+    return {"shape": list(array.shape), "data": array._buffer}
 
 
 def _read_to_obj(read: LeafRead) -> dict:
@@ -124,7 +127,9 @@ def cmd_onf(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise _Usage(f"--seed must be a non-negative integer, got {args.seed}")
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    from .verify import run_suites
+
+    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed)
     any_failed = False
     for result in results:
@@ -189,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the built-in check suites")
     p_verify.add_argument(
         "--suite",
-        choices=["all"] + list(SUITES),
+        choices=["all", *SUITE_NAMES],
         default="all",
         help="which suite to run",
     )

@@ -12,7 +12,8 @@ kron) are compiled away into the offset algebra.
 Over the loop box an affine offset is a base plus one step per loop, so
 execute_plan runs each read as one strided numpy view of its buffer and the
 body as exprs.fold_plan over those views.  A body nests at most
-MAX_BODY_DEPTH ops deep, checked without recursion when the plan is built.
+MAX_BODY_DEPTH ops deep, checked without recursion when the plan is built,
+and has at most MAX_LOOPS loops, the axes a numpy view can have.
 plan_to_json writes the plan through canonical.render_json, the writer the
 CLI prints with, and plan_from_json reads it back strictly.
 
@@ -73,6 +74,10 @@ _LOOP_NAMES = "pqrstuvw"
 # plan_to_json), so LoopPlan and plan_from_json bound their depth; an
 # expression nests at most exprs.MAX_NESTING ops deep.
 MAX_BODY_DEPTH = 400
+# execute_plan views every read over the whole loop box, and a numpy array
+# has at most 64 axes.  lower emits at most 62 loops: each counts 2 or more
+# unless it is the only one, and an output has fewer than 2**63 elements.
+MAX_LOOPS = 64
 
 
 def _loop_name(k: int) -> str:
@@ -156,6 +161,8 @@ class LoopPlan:
         object.__setattr__(self, "out_shape", as_shape(self.out_shape))
         if not self.loops:
             raise PlanError("a loop plan needs at least one loop")
+        if len(self.loops) > MAX_LOOPS:
+            raise PlanError(f"a loop plan has at most {MAX_LOOPS} loops, got {len(self.loops)}")
         names = [loop.var for loop in self.loops]
         if len(set(names)) != len(names):
             raise PlanError(f"duplicate loop variables: {names}")
@@ -395,14 +402,15 @@ def lower(expr: ExprNode, procs: int = 1) -> LoopPlan:
 def flatten_operands(env: dict[str, DenseArray]) -> dict[str, np.ndarray]:
     """Bind leaf arrays to the flat buffers a plan reads.
 
-    Leaf A becomes buffer avec, holding A's elements in row-major order.
+    Leaf A becomes buffer avec, A's own read-only row-major buffer: no copy
+    and no reshape, so an operand of any rank binds.
     """
     buffers: dict[str, np.ndarray] = {}
     for name, array in env.items():
         bname = buffer_name(name)
         if bname in buffers:
             raise LoweringError(f"operand names {sorted(env)} collide under buffer naming")
-        buffers[bname] = array.to_numpy().reshape(-1)
+        buffers[bname] = array._buffer
     return buffers
 
 

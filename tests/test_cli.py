@@ -157,6 +157,19 @@ def test_eval_beyond_numpy_rank_limit(tmp_path, capsys):
     assert main(["eval", "--expr", text, "--index", ",".join("0" * 71), *bindings]) == 0
     assert float(capsys.readouterr().out) == value
 
+def test_onf_run_beyond_numpy_rank_limit(tmp_path, capsys):
+    # an operand of rank 71 binds by its flat buffer, not a rank-71 numpy view
+    path = tmp_path / "T.json"
+    path.write_text(DenseArray((1,) * 70 + (2,), [1.5, -2.0]).to_json())
+    text = "transpose([" + ", ".join(str(k) for k in range(70, -1, -1)) + "], T)"
+    common = ["--expr", text, "--array", f"T={path}"]
+    assert main(["eval", *common]) == 0
+    evaluated = capsys.readouterr()
+    assert main(["onf", "--run", *common]) == 0
+    assert capsys.readouterr() == evaluated
+    assert json.loads(evaluated.out) == {"shape": [2] + [1] * 70, "data": [1.5, -2.0]}
+
+
 def test_onf_partition_error_exit_code(array_files, capsys):
     paths, _ = array_files
     code = main(

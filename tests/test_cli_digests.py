@@ -6,7 +6,9 @@ deliberate and shows in this table.
 The calls per expression: shape and eval; eval --index and dnf --index at
 the first and the last element; onf at every valid procs count; onf --run,
 and onf --procs 2 --run --parallel where 2 divides the outer loop.  The
-arrays are builtin_env(0), written to files.
+arrays are builtin_env(0), written to files.  Outputs long enough for the
+vectorized float writer are pinned too, and checked against the text of the
+% writer.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 
-from moa import lower, parse
+from moa import DenseArray, canonical, lower, parse
+from moa.canonical import render_json
 from moa.cli import main
 from moa.verify import builtin_env, builtin_grid
 
@@ -102,3 +105,59 @@ def test_cli_bytes_of_every_grid_expression_are_pinned(tmp_path, capsys):
             digest.update(json.dumps([command, code, out, err]).encode())
         got[k] = digest.hexdigest()
     assert got == CLI_SHA256
+
+
+# Outputs of at least canonical.VECTOR_MIN elements, which the vectorized
+# float writer renders: (argv, sha256 of exit code, stdout and stderr).
+KRON_CHAIN = "kron(kron(A8, B8), C4)"
+LARGE_OUTPUT_SHA256 = [
+    (
+        ["onf", "--run", "--expr", KRON_CHAIN],
+        "7381aa53e7b471ae99c279c329b43e3014b83ac8fc1899007ed48d35504ebade",
+    ),
+    (
+        ["onf", "--run", "--procs", "2", "--parallel", "--expr", KRON_CHAIN],
+        "7381aa53e7b471ae99c279c329b43e3014b83ac8fc1899007ed48d35504ebade",
+    ),
+    (
+        ["eval", "--expr", "outer(div, U, V)"],
+        "d6cd36a4e706e7fd03090c9b41c1eb9230dabcf11ed238ef6b4cf545594b012e",
+    ),
+]
+
+
+def exact_array(shape: tuple[int, ...], step: int, shift: float, scale: float) -> DenseArray:
+    """Values spread over many decades, each from correctly rounded
+    operations, so every platform computes the same doubles."""
+    size = 1
+    for extent in shape:
+        size *= extent
+    return DenseArray(
+        shape, [(k * step % size - shift) / 7.0 * scale ** (k % 5 - 2) for k in range(size)]
+    )
+
+
+def test_cli_bytes_of_large_outputs_are_pinned(tmp_path, capsys, monkeypatch):
+    arrays = {
+        "A8": exact_array((8, 8), 37, 31.5, 10.0),
+        "B8": exact_array((8, 8), 11, 20.25, 0.01),
+        "C4": exact_array((4, 4), 5, 7.75, 1000.0),
+        "U": exact_array((48,), 13, 23.5, 1e-3),
+        "V": exact_array((48,), 29, 24.5, 1e4),
+    }
+    bindings = []
+    for name, array in arrays.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(array.to_json())
+        bindings += ["--array", f"{name}={path}"]
+    got = []
+    for argv, _ in LARGE_OUTPUT_SHA256:
+        code = main([*argv, *bindings])
+        out, err = capsys.readouterr()
+        got.append((argv, hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()))
+        doc = json.loads(out)
+        assert len(doc["data"]) >= canonical.VECTOR_MIN
+        with monkeypatch.context() as patch:
+            patch.setattr(canonical, "VECTOR_MIN", float("inf"))  # the % writer only
+            assert out == render_json(doc) + "\n"
+    assert got == LARGE_OUTPUT_SHA256

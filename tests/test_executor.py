@@ -316,3 +316,14 @@ def test_output_that_cannot_be_allocated_is_a_plan_error(monkeypatch):
     monkeypatch.setattr(lowering.np, "empty", refuse)
     with pytest.raises(PlanError, match=f"{size} elements"):
         execute_plan(plan_from_json(text), {"avec": np.ones(1)})
+
+
+def test_plans_of_more_loops_than_numpy_axes_are_plan_errors():
+    # count-1 loops, then a loop of 2: a read views all of them at once
+    loops = [loop(f"v{k}", 0, 1) for k in range(lowering.MAX_LOOPS)] + [loop("p", 0, 2)]
+    fits = plan_text(loops[1:], offset(("p", 1)), read("avec", ("p", 1)))
+    out = execute_plan(plan_from_json(fits), {"avec": np.array([1.5, -2.0])})
+    assert out.data == (1.5, -2.0)
+    text = plan_text(loops, offset(("p", 1)), read("avec", ("p", 1)))
+    with pytest.raises(PlanError, match=f"at most {lowering.MAX_LOOPS} loops, got 65"):
+        plan_from_json(text)

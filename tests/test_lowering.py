@@ -291,6 +291,19 @@ def test_execute_checks_offsets():
         execute_plan(plan, {})
 
 
+def test_flatten_operands_binds_each_buffer_without_a_copy():
+    # numpy arrays stop at 64 axes; the flat buffer binds an operand of any rank
+    shape = (1,) * 70 + (2,)
+    t = DenseArray(shape, [1.5, -2.0])
+    buffers = flatten_operands({"T": t, "A": DenseArray((2,), [3.0, 4.0])})
+    assert sorted(buffers) == ["avec", "tvec"]
+    assert buffers["tvec"] is t._buffer and not buffers["tvec"].flags.writeable
+    expr = TransposeG(tuple(range(70, -1, -1)), Leaf("T", shape))
+    out = execute_plan(lower(expr, procs=1), buffers)
+    assert out == materialize(expr, {"T": t})
+    assert out.shape == shape[::-1] and out.data == (1.5, -2.0)
+
+
 def test_flatten_operands_naming(mat2, mat3):
     buffers = flatten_operands({"A": mat2, "B": mat3})
     assert set(buffers) == {"avec", "bvec"}
