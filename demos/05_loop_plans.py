@@ -9,8 +9,12 @@ extents 4, 9, 4 rather than six loops over the raw axes.
 
 The plan's virtual processor count must divide the outermost loop extent;
 each processor then owns a contiguous slab of the output, which makes the
-parallel schedule deterministic down to the bit.
+parallel schedule deterministic down to the bit.  A parallel run hands the
+slabs to threads only when each holds at least PARALLEL_MIN_SLAB elements;
+smaller plans run them in order, since threads would cost more than the work.
 """
+
+import numpy as np
 
 from moa import (
     DenseArray,
@@ -23,6 +27,7 @@ from moa import (
     materialize,
     plan_to_json,
 )
+from moa.lowering import PARALLEL_MIN_SLAB
 
 A = DenseArray.from_nested([[1.0, 2.0], [3.0, 4.0]])
 B = DenseArray.from_nested([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
@@ -40,8 +45,21 @@ buffers = flatten_operands(env)
 out = execute_plan(plan, buffers)
 print("\nplan output equals brute-force evaluation:", out == materialize(expr, env))
 
-threaded = execute_plan(plan, buffers, parallel=True)
-print("threaded run is bit-identical:", threaded.data == out.data)
+in_order = execute_plan(plan, buffers, parallel=True)
+slab = out.size // plan.procs
+print(f"parallel run (slabs of {slab}, run in order) is bit-identical:", in_order.data == out.data)
+
+# slabs of PARALLEL_MIN_SLAB elements or more go to a thread pool
+rng = np.random.default_rng(0)
+u, v = rng.standard_normal(2), rng.standard_normal(PARALLEL_MIN_SLAB)
+big = lower(Outer("add", Leaf("U", u.shape), Leaf("V", v.shape)), procs=2)
+big_buffers = flatten_operands({"U": DenseArray.from_numpy(u), "V": DenseArray.from_numpy(v)})
+threaded = execute_plan(big, big_buffers, parallel=True).to_numpy()
+in_order = execute_plan(big, big_buffers).to_numpy()
+print(
+    f"threaded run (slabs of {PARALLEL_MIN_SLAB}) is bit-identical:",
+    threaded.tobytes() == in_order.tobytes(),
+)
 
 # processor counts that do not divide the outer loop are rejected up front
 try:

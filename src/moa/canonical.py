@@ -81,7 +81,7 @@ def _float_list(values: Any, level: int) -> str:
         if isinstance(values, np.ndarray):
             values = values.tolist()
         items = (("%.17g,\n" + inner) * (len(values) - 1) + "%.17g") % tuple(values)
-    return "[\n" + inner + items + "\n" + "  " * level + "]"
+    return "".join(("[\n", inner, items, "\n", "  " * level, "]"))  # one copy of items
 
 
 def _scalar(value: Any) -> str:

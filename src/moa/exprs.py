@@ -71,16 +71,18 @@ OPS = ("mul", "add", "sub", "div")
 MAX_NESTING = 100
 
 _OP_FUNCS = dict(mul=operator.mul, add=operator.add, sub=operator.sub, div=operator.truediv)
+_UFUNCS = dict(mul=np.multiply, add=np.add, sub=np.subtract, div=np.divide)
 
 
-def apply_op(op: str, x, y):
-    """x op y for floats (DNF reads) or elementwise for numpy arrays (ONF views)."""
+def apply_op(op: str, x, y, out=None):
+    """x op y for floats (DNF reads) or elementwise for numpy arrays (ONF
+    views); an ``out`` array receives the result, broadcast to its shape."""
     func = _OP_FUNCS.get(op)
     if func is None:
         raise EvaluationError(f"unknown scalar op: {op!r}")
     if op == "div" and (y == 0.0 if isinstance(y, float) else not y.all()):
         raise EvaluationError("division by zero")
-    return func(x, y)
+    return func(x, y) if out is None else _UFUNCS[op](x, y, out=out)
 
 
 class ExprNode:

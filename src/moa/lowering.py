@@ -10,10 +10,11 @@ materializes intermediates: structural nodes (outer, transpose, reshape,
 kron) are compiled away into the offset algebra.
 
 Over the loop box an affine offset is a base plus one step per loop, so
-execute_plan runs each read as one strided numpy view of its buffer and the
-body as exprs.fold_plan over those views.  A body nests at most
-MAX_BODY_DEPTH ops deep, checked without recursion when the plan is built,
-and has at most MAX_LOOPS loops, the axes a numpy view can have.
+execute_plan runs each read as one strided numpy view of its buffer, of
+extent 1 on the loops it does not vary on, and the body as exprs.fold_plan
+over those views.  A body nests at most MAX_BODY_DEPTH ops deep, checked
+without recursion when the plan is built, and has at most MAX_LOOPS loops,
+the axes a numpy view can have.
 plan_to_json writes the plan through canonical.render_json, the writer the
 CLI prints with, and plan_from_json reads it back strictly.
 
@@ -41,7 +42,7 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -62,6 +63,7 @@ from .exprs import (
     Reshape,
     ScalarReadPlan,
     TransposeG,
+    apply_op,
     fold_plan,
     leaves,
     op_to_obj,
@@ -74,7 +76,7 @@ _LOOP_NAMES = "pqrstuvw"
 # plan_to_json), so LoopPlan and plan_from_json bound their depth; an
 # expression nests at most exprs.MAX_NESTING ops deep.
 MAX_BODY_DEPTH = 400
-# execute_plan views every read over the whole loop box, and a numpy array
+# execute_plan views every read with one axis per loop, and a numpy array
 # has at most 64 axes.  lower emits at most 62 loops: each counts 2 or more
 # unless it is the only one, and an output has fewer than 2**63 elements.
 MAX_LOOPS = 64
@@ -414,16 +416,50 @@ def flatten_operands(env: dict[str, DenseArray]) -> dict[str, np.ndarray]:
     return buffers
 
 
+# Slabs go to threads only when each holds at least this many elements;
+# below it a threaded run costs more than the ufunc work it overlaps.
+# Measured on kron(kron(A8, B), C4) chains with a lasting pool on a shared
+# 2-core Xeon, median ms in order / threaded over two runs:
+#   slab 2**17: procs 2, 2**18 elements 0.95-1.03 / 1.03-1.05;
+#               procs 4, 2**19 elements 1.85-1.94 / 1.92-2.06
+#   slab 2**18: procs 2, 2**19 elements 1.86-1.97 / 1.65-1.88;
+#               procs 4, 2**20 elements 3.83-4.29 / 2.96-3.82
+#   slab 2**19: procs 2, 2**20 elements 3.85-3.87 / 2.95-3.08
+PARALLEL_MIN_SLAB = 2**18
+
+_pool: Any = None  # execute_plan's thread pool, built on the first threaded run
+_pool_lock = threading.Lock()
+
+
+def _thread_pool() -> Any:
+    """The lasting pool of os.cpu_count() threads; a run of procs slabs
+    starts at most procs of them.  concurrent.futures is imported here, so
+    only a threaded run loads it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
+        return _pool
+
+
 def execute_plan(
     plan: LoopPlan, buffers: dict[str, np.ndarray], parallel: bool = False
 ) -> DenseArray:
     """Run a plan over flat input buffers and return the output array.
 
     Each read is a read-only strided view, bounds-checked at its lowest and
-    highest offset before any arithmetic; results land in a strided view of
-    out.  Processor k fills slab k, a slice of the outer loop, in order or on
-    a thread pool of at most os.cpu_count() threads; slabs are disjoint, so
-    results are identical bit for bit.  A non-finite result is a DomainError.
+    highest offset before any arithmetic, with extent 1 on every loop its
+    offset does not vary on.  numpy broadcasting then folds each op over only
+    the loops its operands span, and only the root op, written straight into
+    a strided view of out, fills the whole loop box.  With ``parallel`` and
+    slabs of at least PARALLEL_MIN_SLAB elements, processor k fills slab k,
+    a slice of the outer loop, on one lasting thread pool of at most
+    os.cpu_count() threads; otherwise the slabs run in order, as one fold
+    over the whole box.  Each element sees the same ops in the same order
+    either way, so results are identical bit for bit.  A non-finite result
+    is a DomainError.
     """
     counts = tuple(loop.count for loop in plan.loops)
     views: dict[LeafRead, np.ndarray] = {}
@@ -437,7 +473,24 @@ def execute_plan(
                 f"read offset {low if low < 0 else high} out of range "
                 f"[0, {buffer.size}) for buffer {read.name!r}"
             )
-        views[read] = as_strided(buffer[base:], counts, [8 * s for s in steps], writeable=False)
+        extents = [count if step else 1 for count, step in zip(counts, steps)]
+        views[read] = as_strided(buffer[base:], extents, [8 * s for s in steps], writeable=False)
+
+    def fold(part: slice, into: np.ndarray) -> None:
+        """Fold the body over loop-0 indices ``part`` into ``into``: the root
+        op writes straight into it, and a read of extent 1 on loop 0 is not sliced."""
+
+        def read(leaf: LeafRead) -> np.ndarray:
+            view = views[leaf]
+            return view[part] if len(view) > 1 else view
+
+        # errstate is per thread; overflow shows up in the finite check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(plan.body, Combine):
+                left, right = fold_plan(plan.body.left, read), fold_plan(plan.body.right, read)
+                apply_op(plan.body.op, left, right, out=into)
+            else:
+                into[...] = read(plan.body)
 
     size = pi(plan.out_shape)
     chunk = counts[0] // plan.procs
@@ -445,20 +498,15 @@ def execute_plan(
 
     def run_slab(k: int) -> None:
         slab = slice(k * chunk, (k + 1) * chunk)
-        # errstate is per thread; overflow shows up in the finite check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            target[slab] = fold_plan(plan.body, lambda read: views[read][slab])
+        fold(slab, target[slab])
 
     try:
         out = np.empty(size, dtype=np.float64)
         target = as_strided(out[base:], counts, [8 * s for s in steps])
-        if parallel and plan.procs > 1:
-            workers = min(plan.procs, os.cpu_count() or 1)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_slab, range(plan.procs)))  # re-raises a slab's error
+        if parallel and plan.procs > 1 and size // plan.procs >= PARALLEL_MIN_SLAB:
+            list(_thread_pool().map(run_slab, range(plan.procs)))  # re-raises a slab's error
         else:
-            for k in range(plan.procs):
-                run_slab(k)
+            fold(slice(None), target)
     except MemoryError:
         raise PlanError(f"plan output of {size} elements does not fit in memory") from None
     if not np.isfinite(out).all():

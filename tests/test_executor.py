@@ -15,6 +15,7 @@ import itertools
 import json
 import operator
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,11 +28,17 @@ from moa import (
     EvaluationError,
     FlatRead,
     FlatWrite,
+    Kron,
+    Leaf,
     LeafRead,
     LoopPlan,
     LoopSpec,
+    Outer,
     PlanError,
     execute_plan,
+    flatten_operands,
+    leaves,
+    lower,
     pi,
     plan_from_json,
     plan_to_json,
@@ -165,7 +172,8 @@ def processor_counts(plan: LoopPlan) -> list[int]:
 
 @pytest.mark.parametrize("text", PLANS.values(), ids=PLANS.keys())
 @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
-def test_hand_written_plans_match_the_scalar_interpreter(text, parallel):
+def test_hand_written_plans_match_the_scalar_interpreter(text, parallel, monkeypatch):
+    monkeypatch.setattr(lowering, "PARALLEL_MIN_SLAB", 0)  # parallel runs thread every slab
     plan = plan_from_json(text)
     expected = scalar_run(plan, BUFFERS).tobytes()
     counts = processor_counts(plan)
@@ -265,7 +273,8 @@ def test_reads_are_checked_before_any_arithmetic():
         execute_plan(plan_from_json(text), {**buffers, "bvec": np.zeros(8)})
 
 
-def test_non_finite_result_is_a_domain_error():
+def test_non_finite_result_is_a_domain_error(monkeypatch):
+    monkeypatch.setattr(lowering, "PARALLEL_MIN_SLAB", 0)  # the parallel run threads its slabs
     square = op("mul", read("avec", ("p", 1)), read("avec"))
     text = plan_text([loop("p", 0, 2)], offset(("p", 1)), square)
     with warnings.catch_warnings():
@@ -274,6 +283,61 @@ def test_non_finite_result_is_a_domain_error():
             plan = dataclasses.replace(plan_from_json(text), procs=2)
             with pytest.raises(DomainError, match="must be finite"):
                 execute_plan(plan, {"avec": np.array([1e308, 1e308])}, parallel=parallel)
+
+
+def kron_env(*names: str) -> dict[str, DenseArray]:
+    rng = np.random.default_rng(5)
+    shapes = dict(A=(4, 4), B=(3, 3), C=(2, 2))
+    return {name: DenseArray.from_numpy(rng.standard_normal(shapes[name])) for name in names}
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+@pytest.mark.parametrize("procs", [2, 4])
+def test_reads_that_do_not_vary_on_the_outer_loop_are_not_sliced(procs, parallel, monkeypatch):
+    # each slab of kron(A, B) reads all of B, whose offset has no term on loop 0
+    monkeypatch.setattr(lowering, "PARALLEL_MIN_SLAB", 0)
+    plan = lower(Kron(Leaf("A", (4, 4)), Leaf("B", (3, 3))), procs)
+    reads = {read.name: dict(read.offset.terms) for read in leaves(plan.body)}
+    assert plan.loops[0].var in reads["avec"] and plan.loops[0].var not in reads["bvec"]
+    buffers = flatten_operands(kron_env("A", "B"))
+    got = execute_plan(plan, buffers, parallel=parallel).to_numpy()
+    assert got.tobytes() == scalar_run(plan, buffers).tobytes()
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+@pytest.mark.parametrize("procs", [1, 2, 4])
+def test_a_zero_in_a_reduced_denominator_divides_by_zero(procs, parallel, monkeypatch):
+    # the denominator B - C spans only the inner loops; B[1, 2] - C[1, 0] is 0
+    monkeypatch.setattr(lowering, "PARALLEL_MIN_SLAB", 0)
+    env = kron_env("A", "B", "C")
+    b = env["B"].to_numpy().copy()
+    b[1, 2] = env["C"].to_numpy()[1, 0]
+    env["B"] = DenseArray.from_numpy(b)
+    a, denominator = Leaf("A", (4, 4)), Outer("sub", Leaf("B", (3, 3)), Leaf("C", (2, 2)))
+    plan = lower(Outer("div", a, denominator), procs)
+    with pytest.raises(EvaluationError, match="division by zero"):
+        execute_plan(plan, flatten_operands(env), parallel=parallel)
+
+
+def test_partial_products_stay_off_the_loops_they_do_not_read():
+    # A*B spans 4,096 of the 65,536 iterations and the root product is written
+    # straight into out, so the peak is out, A*B and numpy's ufunc buffers
+    # (1.33x here; a full-box A*B or a root temporary each add 1x)
+    rng = np.random.default_rng(3)
+    shapes = [(8, 8), (8, 8), (4, 4)]
+    env = {name: DenseArray.from_numpy(rng.standard_normal(s)) for name, s in zip("ABC", shapes)}
+    a, b, c = (Leaf(name, shape) for name, shape in zip("ABC", shapes))
+    plan = lower(Kron(Kron(a, b), c))
+    buffers = flatten_operands(env)
+    tracemalloc.start()
+    try:
+        out = execute_plan(plan, buffers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expected = np.kron(np.kron(*(env[name].to_numpy() for name in "AB")), env["C"].to_numpy())
+    assert out.to_numpy().tobytes() == expected.tobytes()
+    assert peak <= 1.6 * out.size * 8
 
 
 @pytest.mark.parametrize(

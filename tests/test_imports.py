@@ -1,6 +1,7 @@
 """What `import moa.cli` loads: the CLI never uses verify, dyadics, kron,
-permute or the vectorized float writer, so a fresh import leaves them out,
-and the package still exports every name through first-use loading."""
+permute or the vectorized float writer, and only a threaded plan run needs
+concurrent.futures, so a fresh import leaves them out, and the package still
+exports every name through first-use loading."""
 
 from __future__ import annotations
 
@@ -15,7 +16,14 @@ CHECK = """
 import sys
 import moa.cli
 
-deferred = ["moa.floatfmt", "moa.verify", "moa.dyadics", "moa.kron", "moa.permute"]
+deferred = [
+    "moa.floatfmt",
+    "moa.verify",
+    "moa.dyadics",
+    "moa.kron",
+    "moa.permute",
+    "concurrent.futures",
+]
 assert [m for m in deferred if m in sys.modules] == [], sorted(sys.modules)
 
 import moa

@@ -39,6 +39,7 @@ from moa import (
     plan_to_json,
     unravel_rowmajor,
 )
+from moa import lowering
 
 MAX_ELEMENTS = 256
 MAX_DEPTH = 4
@@ -192,7 +193,9 @@ def test_parallel_run_is_bit_identical_to_sequential(case):
         runs = []
         for parallel in (False, True):
             try:
-                runs.append(execute_plan(split, buffers, parallel=parallel).to_numpy().tobytes())
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(lowering, "PARALLEL_MIN_SLAB", 0)  # thread every slab
+                    runs.append(execute_plan(split, buffers, parallel=parallel).to_numpy().tobytes())
             except EvaluationError as exc:
                 assert is_div_by_zero(exc), exc
                 runs.append("division by zero")

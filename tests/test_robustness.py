@@ -3,6 +3,7 @@ plan JSON, and usage errors that must win over data errors."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -112,8 +113,9 @@ def double_outer_env():
     }
 
 
-@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
-def test_thread_pool_is_capped_at_cpu_count(monkeypatch, cpus, workers):
+def spy_pools(monkeypatch) -> list:
+    """The thread count of each pool execute_plan builds from now on, with no
+    lasting pool yet; execute_plan looks the class up in concurrent.futures."""
     seen = []
 
     class SpyPool(ThreadPoolExecutor):
@@ -121,14 +123,49 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch, cpus, workers):
             seen.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(lowering, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(lowering, "_pool", None)
+    return seen
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1), (8, 8)])
+def test_thread_pool_is_capped_at_cpu_count(monkeypatch, cpus, workers):
+    seen = spy_pools(monkeypatch)
+    monkeypatch.setattr(lowering, "PARALLEL_MIN_SLAB", 0)
     monkeypatch.setattr(lowering.os, "cpu_count", lambda: cpus)
     plan = lower(double_outer(), procs=4)
     buffers = flatten_operands(double_outer_env())
     sequential = execute_plan(plan, buffers)
     threaded = execute_plan(plan, buffers, parallel=True)
     assert seen == [workers]
+    # the four slabs start at most four of the pool's threads
+    assert len(lowering._pool._threads) <= min(plan.procs, workers)
     assert threaded.to_numpy().tobytes() == sequential.to_numpy().tobytes()
+
+
+def test_a_plan_below_the_slab_size_builds_no_pool(monkeypatch):
+    seen = spy_pools(monkeypatch)
+    plan = lower(double_outer(), procs=4)
+    assert np.prod(plan.out_shape) // plan.procs < lowering.PARALLEL_MIN_SLAB
+    buffers = flatten_operands(double_outer_env())
+    threaded = execute_plan(plan, buffers, parallel=True)
+    assert seen == []
+    assert threaded.to_numpy().tobytes() == execute_plan(plan, buffers).to_numpy().tobytes()
+
+
+def test_threaded_runs_share_one_lasting_pool(monkeypatch):
+    seen = spy_pools(monkeypatch)
+    monkeypatch.setattr(lowering.os, "cpu_count", lambda: 2)
+    slab = lowering.PARALLEL_MIN_SLAB  # procs 2 cut the plan into two slabs of this size
+    rng = np.random.default_rng(17)
+    a, b = rng.standard_normal(2), rng.standard_normal(slab)
+    env = {"A": DenseArray.from_numpy(a), "B": DenseArray.from_numpy(b)}
+    plan = lower(Outer("add", Leaf("A", (2,)), Leaf("B", (slab,))), procs=2)
+    buffers = flatten_operands(env)
+    runs = [execute_plan(plan, buffers, parallel=True) for _ in range(2)]
+    assert seen == [2]
+    expected = np.add.outer(a, b).tobytes()
+    assert [run.to_numpy().tobytes() for run in runs] == [expected, expected]
 
 
 def plan_doc() -> dict:
