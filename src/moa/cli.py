@@ -187,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_onf.add_argument("--procs", type=int, default=1, help="virtual processor count")
     p_onf.add_argument("--run", action="store_true", help="execute the plan")
     p_onf.add_argument(
-        "--parallel", action="store_true", help="run processors on threads"
+        "--parallel",
+        action="store_true",
+        help="run processors on threads when each slab holds at least 2**20 elements",
     )
     p_onf.set_defaults(func=cmd_onf)
 

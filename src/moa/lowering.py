@@ -42,7 +42,6 @@ import itertools
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -417,31 +416,17 @@ def flatten_operands(env: dict[str, DenseArray]) -> dict[str, np.ndarray]:
 
 
 # Slabs go to threads only when each holds at least this many elements;
-# below it a threaded run costs more than the ufunc work it overlaps.
-# Measured on kron(kron(A8, B), C4) chains with a lasting pool on a shared
-# 2-core Xeon, median ms in order / threaded over two runs:
-#   slab 2**17: procs 2, 2**18 elements 0.95-1.03 / 1.03-1.05;
-#               procs 4, 2**19 elements 1.85-1.94 / 1.92-2.06
-#   slab 2**18: procs 2, 2**19 elements 1.86-1.97 / 1.65-1.88;
-#               procs 4, 2**20 elements 3.83-4.29 / 2.96-3.82
-#   slab 2**19: procs 2, 2**20 elements 3.85-3.87 / 2.95-3.08
-PARALLEL_MIN_SLAB = 2**18
-
-_pool: Any = None  # execute_plan's thread pool, built on the first threaded run
-_pool_lock = threading.Lock()
-
-
-def _thread_pool() -> Any:
-    """The lasting pool of os.cpu_count() threads; a run of procs slabs
-    starts at most procs of them.  concurrent.futures is imported here, so
-    only a threaded run loads it."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
-        return _pool
+# below it a threaded run, which builds its pool, costs more than the ufunc
+# work it overlaps.  Measured on kron(kron(A8, B), C4) chains on a shared
+# 2-core Xeon, median ms in order / threaded over two to four runs:
+#   slab 2**18: procs 2, 2**19 elements 2.84-3.05 / 4.17-4.23;
+#               procs 4, 2**20 elements 4.93-7.46 / 7.12-8.47
+#   slab 2**19: procs 2, 2**20 elements 5.10-5.41 / 6.27-7.07;
+#               procs 4, 2**21 elements 11.3-14.6 / 11.0-13.7
+#   slab 2**20: procs 2, 2**21 elements 11.0-15.4 / 10.1-12.7;
+#               procs 4, 2**22 elements 24.0-27.0 / 19.3-22.2
+#   slab 2**21: procs 2, 2**22 elements 23.9-31.8 / 20.0-20.3
+PARALLEL_MIN_SLAB = 2**20
 
 
 def execute_plan(
@@ -455,8 +440,8 @@ def execute_plan(
     the loops its operands span, and only the root op, written straight into
     a strided view of out, fills the whole loop box.  With ``parallel`` and
     slabs of at least PARALLEL_MIN_SLAB elements, processor k fills slab k,
-    a slice of the outer loop, on one lasting thread pool of at most
-    os.cpu_count() threads; otherwise the slabs run in order, as one fold
+    a slice of the outer loop, on a thread pool of min(procs, os.cpu_count())
+    threads built for the run; otherwise the slabs run in order, as one fold
     over the whole box.  Each element sees the same ops in the same order
     either way, so results are identical bit for bit.  A non-finite result
     is a DomainError.
@@ -504,7 +489,10 @@ def execute_plan(
         out = np.empty(size, dtype=np.float64)
         target = as_strided(out[base:], counts, [8 * s for s in steps])
         if parallel and plan.procs > 1 and size // plan.procs >= PARALLEL_MIN_SLAB:
-            list(_thread_pool().map(run_slab, range(plan.procs)))  # re-raises a slab's error
+            from concurrent.futures import ThreadPoolExecutor  # only a threaded run loads it
+
+            with ThreadPoolExecutor(max_workers=min(plan.procs, os.cpu_count() or 1)) as pool:
+                list(pool.map(run_slab, range(plan.procs)))  # re-raises a slab's error
         else:
             fold(slice(None), target)
     except MemoryError:
